@@ -1,5 +1,6 @@
 //! Criterion bench: stochastic machinery — collocation-grid generation,
-//! chaos fitting and the wPFA/PFA reductions at paper-scale dimensions.
+//! chaos fitting (single output and the multi-output SSCM fit) and the
+//! wPFA/PFA reductions at paper-scale dimensions.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vaem_stochastic::{CollocationGrid, HermiteBasis, PolynomialChaos, SparseCollocation};
@@ -26,6 +27,22 @@ fn bench_stochastic(c: &mut Criterion) {
             .collect();
         let points = sscm.points().to_vec();
         b.iter(|| PolynomialChaos::fit(HermiteBasis::new(10, 2), &points, &values).expect("fit"));
+    });
+
+    // The Table-II SSCM fit: 14 reduced variables (435 collocation runs,
+    // 120 chaos coefficients) and 6 outputs off one design factorization.
+    group.bench_function("sscm_fit_d14x6", |b| {
+        let sscm = SparseCollocation::new(14);
+        let runs: Vec<Vec<f64>> = sscm
+            .points()
+            .iter()
+            .map(|z| {
+                (0..6)
+                    .map(|q| 1.0 + 0.1 * z[q] + 0.05 * z[q + 6] * z[13])
+                    .collect()
+            })
+            .collect();
+        b.iter(|| sscm.fit(&runs).expect("fit").len());
     });
 
     // PFA vs wPFA on a 128-variable covariance (the Table-II doping group).

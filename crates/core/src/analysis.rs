@@ -1894,16 +1894,12 @@ impl VariationalAnalysis {
             wave0,
         );
         self.check_quarantine_budget(&health)?;
-        let fit_point = |point_outputs: &[Vec<f64>], at: usize| -> Result<_, AnalysisError> {
-            let per_sample: Vec<Vec<f64>> = point_outputs
-                .iter()
-                .map(|o| o[at * n_q..(at + 1) * n_q].to_vec())
-                .collect();
-            Ok(sscm.fit(&per_sample)?)
-        };
+        // One fit per wave: each sample's outputs are frequency-major, so
+        // point `fi` owns the chaos models `pces[fi * n_q..(fi + 1) * n_q]`.
+        let coarse_pces = sscm.fit(&sample_outputs)?;
         let mut grid: Vec<PointRecord> = Vec::with_capacity(coarse_frequencies.len());
         for (fi, &frequency) in coarse_frequencies.iter().enumerate() {
-            let pces = fit_point(&sample_outputs, fi)?;
+            let pces = &coarse_pces[fi * n_q..(fi + 1) * n_q];
             grid.push(PointRecord {
                 frequency,
                 origin: PointOrigin::Coarse,
@@ -2024,8 +2020,9 @@ impl VariationalAnalysis {
                 wave,
             );
             self.check_quarantine_budget(&health)?;
+            let wave_pces = sscm.fit(&sample_new)?;
             for (ci, &(frequency, depth, _)) in candidates.iter().enumerate() {
-                let pces = fit_point(&sample_new, ci)?;
+                let pces = &wave_pces[ci * n_q..(ci + 1) * n_q];
                 let record = PointRecord {
                     frequency,
                     origin: PointOrigin::Refined { wave: waves, depth },
@@ -2376,6 +2373,69 @@ mod tests {
             assert!(q.nominal[fi].is_finite() && q.nominal[fi] > 0.0);
             assert!(q.sscm[fi].mean.is_finite());
             assert!(q.sscm[fi].std.is_finite() && q.sscm[fi].std >= 0.0);
+        }
+    }
+
+    #[test]
+    fn adaptive_sweep_points_keep_their_own_multi_quantity_statistics() {
+        // Each wave fits all of its points in one SSCM call over
+        // frequency-major sample outputs; with two quantities per point a
+        // wrong stride would hand a point its neighbour's (or the other
+        // quantity's) chaos. A fixed-grid sweep over the refined grid is the
+        // independent per-point reference.
+        let structure = build_metalplug_structure(&MetalPlugConfig::coarse());
+        let mut config = AnalysisConfig::new(QuantitySet::CapacitanceColumn {
+            driven: "plug1".to_string(),
+            terminals: vec!["plug1".to_string(), "plug2".to_string()],
+        });
+        config.energy_fraction = 0.85;
+        config.max_reduced_per_group = 2;
+        config.nominal_donor = 2.0e1;
+        config.variations = VariationSpec {
+            roughness: None,
+            doping: Some(DopingVariationConfig {
+                max_nodes: 12,
+                ..DopingVariationConfig::paper_default()
+            }),
+            via_params: None,
+        };
+        let analysis = VariationalAnalysis::new(structure, config);
+        let options = AdaptiveSweepOptions {
+            rel_tolerance: 1.0e-4,
+            max_points: 9,
+            max_depth: 3,
+        };
+        let adaptive = analysis
+            .run_adaptive_frequency_sweep(&[1.0e8, 1.0e9, 1.0e10], &options)
+            .unwrap();
+        assert!(adaptive.waves >= 1, "refinement never engaged");
+        assert!(adaptive.refined_point_count() >= 2);
+        let fixed = analysis
+            .run_frequency_sweep(&adaptive.sweep.frequencies)
+            .unwrap();
+        assert_eq!(adaptive.sweep.quantities.len(), 2);
+        // The two engines warm-start their iterative solves differently, so
+        // they agree to solver tolerance, not bit for bit: about 1e-10
+        // relative on values and means, 2e-4 on the small mutual-capacitance
+        // std. A misassigned chaos is off by order one.
+        let close = |x: f64, y: f64, rel: f64| (x - y).abs() <= rel * x.abs().max(y.abs());
+        for (a, f) in adaptive.sweep.quantities.iter().zip(&fixed.quantities) {
+            for fi in 0..f.nominal.len() {
+                let (sa, sf) = (&a.sscm[fi], &f.sscm[fi]);
+                assert!(
+                    close(a.nominal[fi], f.nominal[fi], 1e-6)
+                        && close(sa.mean, sf.mean, 1e-6)
+                        && close(sa.std, sf.std, 1e-2),
+                    "{} at point {fi}: adaptive ({}, {}, {}) vs fixed ({}, {}, {})",
+                    a.label,
+                    a.nominal[fi],
+                    sa.mean,
+                    sa.std,
+                    f.nominal[fi],
+                    sf.mean,
+                    sf.std
+                );
+            }
         }
     }
 

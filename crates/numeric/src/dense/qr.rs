@@ -1,8 +1,8 @@
 //! Householder QR factorization and least-squares solves.
 //!
-//! The SSCM layer offers a regression (least-squares) alternative to the
-//! projection quadrature when fitting the quadratic Hermite chaos to the
-//! collocation samples; that path relies on this QR.
+//! The SSCM layer fits the quadratic Hermite chaos to the collocation
+//! samples by regression: it factors the design matrix once with this QR and
+//! solves one least-squares problem per output quantity.
 
 use super::DMatrix;
 use crate::NumericError;

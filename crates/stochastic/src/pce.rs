@@ -33,6 +33,14 @@ impl PolynomialChaos {
     /// Fits the expansion to samples `(points[i], values[i])` by regression
     /// (least squares on the collocation samples).
     ///
+    /// The design matrix `Ψ[i][j] = Ψ_j(points[i])` is filled with one
+    /// whole-basis evaluation per point and QR-factored.
+    /// [`SparseCollocation::fit`] builds the same design and factors it once
+    /// for all of its outputs, so its coefficients are bit-identical to one
+    /// call of this function per output.
+    ///
+    /// [`SparseCollocation::fit`]: crate::SparseCollocation::fit
+    ///
     /// # Errors
     /// * [`NumericError::DimensionMismatch`] if the number of values differs
     ///   from the number of points or there are fewer samples than basis
@@ -52,24 +60,17 @@ impl PolynomialChaos {
                 ),
             });
         }
-        if points.len() < basis.len() {
-            return Err(NumericError::DimensionMismatch {
-                detail: format!(
-                    "need at least {} samples to fit {} chaos coefficients",
-                    basis.len(),
-                    basis.len()
-                ),
-            });
-        }
-        let design = DMatrix::from_fn(points.len(), basis.len(), |i, j| {
-            basis.evaluate(&points[i])[j]
-        });
-        let qr = Qr::new(&design)?;
+        let qr = factor_design(&basis, points)?;
         let coefficients = qr.solve_least_squares(values)?;
-        Ok(Self {
+        Ok(Self::from_coefficients(basis, coefficients))
+    }
+
+    /// Wraps coefficients already fitted in `basis` order.
+    pub(crate) fn from_coefficients(basis: HermiteBasis, coefficients: Vec<f64>) -> Self {
+        Self {
             basis,
             coefficients,
-        })
+        }
     }
 
     /// The underlying basis.
@@ -138,6 +139,28 @@ impl PolynomialChaos {
     }
 }
 
+/// Builds the regression design `Ψ[i][j] = Ψ_j(points[i])` — one
+/// whole-basis evaluation per point, copied into its row — and QR-factors
+/// it. Every chaos fit goes through here, so one factorization can serve
+/// any number of outputs sampled at the same points.
+pub(crate) fn factor_design(basis: &HermiteBasis, points: &[Vec<f64>]) -> Result<Qr, NumericError> {
+    if points.len() < basis.len() {
+        return Err(NumericError::DimensionMismatch {
+            detail: format!(
+                "need at least {} samples to fit {} chaos coefficients, got {}",
+                basis.len(),
+                basis.len(),
+                points.len()
+            ),
+        });
+    }
+    let mut design = DMatrix::zeros(points.len(), basis.len());
+    for (i, point) in points.iter().enumerate() {
+        design.row_mut(i).copy_from_slice(&basis.evaluate(point));
+    }
+    Qr::new(&design)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +218,12 @@ mod tests {
         let basis = HermiteBasis::new(2, 2);
         let pts = vec![vec![0.0, 0.0]];
         assert!(PolynomialChaos::fit(basis.clone(), &pts, &[1.0, 2.0]).is_err());
-        assert!(PolynomialChaos::fit(basis, &pts, &[1.0]).is_err());
+        match PolynomialChaos::fit(basis, &pts, &[1.0]) {
+            Err(NumericError::DimensionMismatch { detail }) => assert_eq!(
+                detail,
+                "need at least 6 samples to fit 6 chaos coefficients, got 1"
+            ),
+            other => panic!("expected an under-determined fit error, got {other:?}"),
+        }
     }
 }

@@ -37,7 +37,8 @@ fn tiny_analysis() -> VariationalAnalysis {
 }
 
 /// Exact (bit-level) fingerprint of everything statistical in a result: the
-/// PCE-derived SSCM moments and the Monte-Carlo reference moments.
+/// PCE-derived SSCM moments and main effects and the Monte-Carlo reference
+/// moments.
 fn fingerprint(result: &AnalysisResult) -> Vec<u64> {
     let mut bits = Vec::new();
     for q in &result.quantities {
@@ -50,6 +51,7 @@ fn fingerprint(result: &AnalysisResult) -> Vec<u64> {
         ] {
             bits.push(v.to_bits());
         }
+        bits.extend(q.main_effects.iter().map(|e| e.to_bits()));
     }
     bits.push(result.collocation_runs as u64);
     bits.push(result.mc_runs as u64);
