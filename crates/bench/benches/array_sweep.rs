@@ -9,10 +9,17 @@
 //! runs the aggressor/victim frequency sweep — the deterministic path of
 //! the `tsv_array` binary, with the stochastic stage excluded so the
 //! timings isolate the per-mesh solver cost from sampling noise.
+//!
+//! `capacitance_matrix_4x4` times the K = 16 capacitance columns alone: the
+//! DC point is solved once outside the timed closure, so each iteration is
+//! one AC preparation plus the batched column solves, which fan out over
+//! `VAEM_THREADS` workers (`VAEM_THREADS=1` runs the serial column loop).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use vaem::experiments::tsv_array::TsvArrayExperiment;
-use vaem_mesh::structures::tsv_array::TsvArrayConfig;
+use vaem_fvm::{postprocess, CoupledSolver, SolverOptions};
+use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
+use vaem_physics::DopingProfile;
 
 fn nominal(experiment: &TsvArrayExperiment) -> f64 {
     let report = experiment.nominal_report().expect("nominal array report");
@@ -46,6 +53,22 @@ fn bench_array_sweep(c: &mut Criterion) {
             b.iter(|| nominal(&experiment))
         });
     }
+
+    let structure = build_tsv_array_structure(&TsvArrayConfig::coarse(4, 4)).expect("4x4 array");
+    let semis = structure.semiconductor_nodes();
+    let doping = DopingProfile::uniform_donor(structure.mesh.node_count(), &semis, 1.0e5);
+    let solver =
+        CoupledSolver::new(&structure, &doping, SolverOptions::default()).expect("array solver");
+    let dc = solver.solve_dc().expect("array DC point");
+    let frequency = quick.frequency;
+    group.bench_function("capacitance_matrix_4x4", |b| {
+        b.iter(|| {
+            let matrix =
+                postprocess::capacitance_matrix(&solver, &dc, frequency).expect("4x4 matrix");
+            assert_eq!(matrix.len(), 16, "one column per via");
+            matrix
+        })
+    });
 
     // Optional extra size (5×5 and beyond) via the same environment knobs
     // the `tsv_array` binary honours. Defaults of 0 mean "not requested".

@@ -23,6 +23,9 @@ pub struct AcSolution {
     pub solver_strategy: &'static str,
     /// Relative residual reported by the linear solver.
     pub linear_residual: f64,
+    /// Krylov iterations the linear solver spent on this solution (0 for a
+    /// direct solve).
+    pub krylov_iterations: usize,
 }
 
 impl AcSolution {

@@ -29,25 +29,35 @@ pub fn terminal_current(
         .ok_or_else(|| FvmError::Configuration {
             detail: format!("unknown terminal '{terminal}'"),
         })?;
+    Ok(terminal_currents(solver, ac)[k])
+}
+
+/// Every terminal's current (A), indexed like the solver's terminals, in
+/// one walk over the mesh links: a link crossing the surface of terminal
+/// `k`'s conductor adds its current to `k`'s sum (a link joining two
+/// terminals adds to both), in link order — so each sum equals
+/// [`terminal_current`] for that terminal, bit for bit.
+// vaem-lint: cold output-side postprocessing; allocates the reported quantities
+pub fn terminal_currents(solver: &CoupledSolver<'_>, ac: &AcSolution) -> Vec<Complex64> {
+    let terminals = solver.terminals();
     let mesh = &solver.structure().mesh;
-    let mut current = Complex64::ZERO;
+    let mut currents = vec![Complex64::ZERO; terminals.terminal_count()];
     for lid in mesh.link_ids() {
         let link = mesh.link(lid);
-        let from_t = solver.terminals().terminal(link.from);
-        let to_t = solver.terminals().terminal(link.to);
+        let from_t = terminals.terminal(link.from);
+        let to_t = terminals.terminal(link.to);
+        if from_t == to_t {
+            continue;
+        }
         let y = ac.admittance_at(lid);
-        match (from_t, to_t) {
-            (Some(a), Some(b)) if a == b => {}
-            (Some(a), _) if a == k => {
-                current += y * (ac.potential_at(link.from) - ac.potential_at(link.to));
-            }
-            (_, Some(b)) if b == k => {
-                current += y * (ac.potential_at(link.to) - ac.potential_at(link.from));
-            }
-            _ => {}
+        if let Some(a) = from_t {
+            currents[a] += y * (ac.potential_at(link.from) - ac.potential_at(link.to));
+        }
+        if let Some(b) = to_t {
+            currents[b] += y * (ac.potential_at(link.to) - ac.potential_at(link.from));
         }
     }
-    Ok(current)
+    currents
 }
 
 /// Complex current (A) crossing the metal–semiconductor interface of the
@@ -137,9 +147,8 @@ pub fn capacitance_column_from(
         });
     }
     let mut out = BTreeMap::new();
-    for k in 0..solver.terminals().terminal_count() {
+    for (k, current) in terminal_currents(solver, ac).into_iter().enumerate() {
         let name = solver.terminals().name(k).to_string();
-        let current = terminal_current(solver, ac, &name)?;
         if !current.re.is_finite() || !current.im.is_finite() {
             return Err(FvmError::NonFinite {
                 detail: format!(
@@ -160,23 +169,34 @@ pub fn capacitance_column_from(
 ///
 /// All columns share a single [`CoupledSolver::prepare_ac`] operator, so the
 /// AC assembly and the ILU/LU factorization are done exactly once for the
-/// whole matrix instead of once per terminal.
+/// whole matrix instead of once per terminal. The K columns are solved by
+/// [`crate::AcSweepOperator::solve_terminals`] with
+/// [`capacitance_column_from`] as the per-column reducer: on the
+/// ILU(0)+BiCGSTAB strategy they fan out over `VAEM_THREADS` workers, and
+/// the matrix is bit-identical to solving and reducing the columns one
+/// after another at any thread count (see
+/// [`vaem_sparse::PreparedSolver::solve_batch`] for the speculative-commit
+/// rule that guarantees it).
 ///
 /// # Errors
-/// Propagates AC-solve failures.
+/// Propagates AC-solve and column-extraction failures, the first in
+/// terminal order.
 pub fn capacitance_matrix(
     solver: &CoupledSolver<'_>,
     dc: &DcSolution,
     frequency: f64,
 ) -> Result<BTreeMap<String, BTreeMap<String, f64>>, FvmError> {
     let mut operator = solver.prepare_ac(dc, frequency)?;
-    let mut out = BTreeMap::new();
-    for k in 0..solver.terminals().terminal_count() {
-        let driven = solver.terminals().name(k).to_string();
-        let ac = operator.solve_terminal(&driven)?;
-        out.insert(driven, capacitance_column_from(solver, &ac)?);
-    }
-    Ok(out)
+    let terminals = solver.terminals();
+    let names: Vec<&str> = (0..terminals.terminal_count())
+        .map(|k| terminals.name(k))
+        .collect();
+    let columns = operator.solve_terminals(&names, |ac| capacitance_column_from(solver, ac))?;
+    Ok(names
+        .iter()
+        .map(|name| name.to_string())
+        .zip(columns)
+        .collect())
 }
 
 /// Input impedance spectrum of a driven terminal over a frequency sweep.
@@ -269,18 +289,20 @@ pub fn coupling_ratio_spectrum(
     aggressor: &str,
     victim: &str,
 ) -> Result<Vec<(f64, f64)>, FvmError> {
-    for terminal in [aggressor, victim] {
-        if solver.terminals().index_of(terminal).is_none() {
-            return Err(FvmError::Configuration {
+    let index_of = |terminal: &str| {
+        solver
+            .terminals()
+            .index_of(terminal)
+            .ok_or_else(|| FvmError::Configuration {
                 detail: format!("unknown terminal '{terminal}'"),
-            });
-        }
-    }
+            })
+    };
+    let (a, v) = (index_of(aggressor)?, index_of(victim)?);
     sweep
         .iter()
         .map(|ac| {
-            let i_aggr = terminal_current(solver, ac, aggressor)?;
-            let i_victim = terminal_current(solver, ac, victim)?;
+            let currents = terminal_currents(solver, ac);
+            let (i_aggr, i_victim) = (currents[a], currents[v]);
             for (name, i) in [(aggressor, i_aggr), (victim, i_victim)] {
                 if !i.re.is_finite() || !i.im.is_finite() {
                     return Err(FvmError::NonFinite {
@@ -350,9 +372,8 @@ pub fn dc_potential_slice(
 /// conservation and is used as a sanity diagnostic.
 pub fn current_balance(solver: &CoupledSolver<'_>, ac: &AcSolution) -> Result<Complex64, FvmError> {
     let mut total = Complex64::ZERO;
-    for k in 0..solver.terminals().terminal_count() {
-        let name = solver.terminals().name(k).to_string();
-        total += terminal_current(solver, ac, &name)?;
+    for current in terminal_currents(solver, ac) {
+        total += current;
     }
     Ok(total)
 }
@@ -617,5 +638,117 @@ mod tests {
         let facet = s.facet("plug1_interface").unwrap();
         let vals = facet_potentials(&solver, &ac, &facet.nodes);
         assert_eq!(vals.len(), facet.nodes.len());
+    }
+
+    fn array_setup() -> (vaem_mesh::Structure, DopingProfile) {
+        use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
+        let s = build_tsv_array_structure(&TsvArrayConfig::coarse(2, 2)).unwrap();
+        let semis = s.semiconductor_nodes();
+        let doping = DopingProfile::uniform_donor(s.mesh.node_count(), &semis, 1.0e5);
+        (s, doping)
+    }
+
+    fn matrix_bits(matrix: &BTreeMap<String, BTreeMap<String, f64>>) -> Vec<(String, String, u64)> {
+        matrix
+            .iter()
+            .flat_map(|(driven, column)| {
+                column
+                    .iter()
+                    .map(move |(name, c)| (driven.clone(), name.clone(), c.to_bits()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_capacitance_matrix_matches_the_per_terminal_loop_bit_for_bit() {
+        let (s, doping) = array_setup();
+        // Each path gets its own solver, so each starts from a cold
+        // topology (no donated factors from the other path).
+        let fresh = || {
+            let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
+            let dc = solver.solve_dc().unwrap();
+            (solver, dc)
+        };
+        let frequency = 1.0e9;
+
+        // The serial reference: one `solve_terminal` and one column
+        // reduction per terminal, in order, on one operator.
+        let (solver, dc) = fresh();
+        let terminals = solver.terminals();
+        let names: Vec<&str> = (0..terminals.terminal_count())
+            .map(|k| terminals.name(k))
+            .collect();
+        let mut operator = solver.prepare_ac(&dc, frequency).unwrap();
+        let mut reference = BTreeMap::new();
+        let mut serial_iterations = Vec::new();
+        for name in &names {
+            let ac = operator.solve_terminal(name).unwrap();
+            assert_eq!(ac.solver_strategy, "ilu0-bicgstab");
+            serial_iterations.push(ac.krylov_iterations);
+            reference.insert(
+                name.to_string(),
+                capacitance_column_from(&solver, &ac).unwrap(),
+            );
+        }
+        assert!(serial_iterations.iter().all(|&it| it > 0));
+
+        let (solver, dc) = fresh();
+        let matrix = capacitance_matrix(&solver, &dc, frequency).unwrap();
+        assert_eq!(matrix_bits(&matrix), matrix_bits(&reference));
+
+        // The per-column Krylov counts of the batch equal the loop's.
+        let (solver, dc) = fresh();
+        let mut batched = solver.prepare_ac(&dc, frequency).unwrap();
+        let iterations = batched
+            .solve_terminals(&names, |ac| Ok(ac.krylov_iterations))
+            .unwrap();
+        assert_eq!(iterations, serial_iterations);
+
+        // Unknown terminals are rejected before any solve, and the operator
+        // keeps answering afterwards.
+        assert!(matches!(
+            batched.solve_terminals(&["nope"], |_| Ok(())),
+            Err(FvmError::Configuration { .. })
+        ));
+        assert!(batched.solve_terminal(names[0]).is_ok());
+    }
+
+    #[test]
+    fn one_link_walk_matches_the_per_terminal_walk_bit_for_bit() {
+        let (s, doping) = array_setup();
+        let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
+        let dc = solver.solve_dc().unwrap();
+        let terminals = solver.terminals();
+        let mesh = &s.mesh;
+        for driven in 0..terminals.terminal_count() {
+            let ac = solver.solve_ac(&dc, terminals.name(driven), 1.0e9).unwrap();
+            let currents = terminal_currents(&solver, &ac);
+            assert_eq!(currents.len(), terminals.terminal_count());
+            for (k, current) in currents.iter().enumerate() {
+                // The former per-terminal walker, kept as the reference.
+                let mut expected = Complex64::ZERO;
+                for lid in mesh.link_ids() {
+                    let link = mesh.link(lid);
+                    let y = ac.admittance_at(lid);
+                    match (terminals.terminal(link.from), terminals.terminal(link.to)) {
+                        (Some(a), Some(b)) if a == b => {}
+                        (Some(a), _) if a == k => {
+                            expected += y * (ac.potential_at(link.from) - ac.potential_at(link.to));
+                        }
+                        (_, Some(b)) if b == k => {
+                            expected += y * (ac.potential_at(link.to) - ac.potential_at(link.from));
+                        }
+                        _ => {}
+                    }
+                }
+                assert_eq!(
+                    (current.re.to_bits(), current.im.to_bits()),
+                    (expected.re.to_bits(), expected.im.to_bits()),
+                    "terminal {k}, driven {driven}"
+                );
+                let single = terminal_current(&solver, &ac, terminals.name(k)).unwrap();
+                assert_eq!(single, *current);
+            }
+        }
     }
 }

@@ -10,7 +10,8 @@ use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
 use vaem_numeric::Complex64;
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
 use vaem_sparse::{
-    IluSeed, LinearSolver, PreparedSolver, SolverKind, SparsityPattern, SymbolicLu, TripletMatrix,
+    IluSeed, LinearSolver, PreparedSolver, SolveReport, SolverKind, SparsityPattern, SymbolicLu,
+    TripletMatrix,
 };
 
 /// Electromagnetic modelling depth of the AC stage.
@@ -1362,6 +1363,60 @@ impl AcSweepOperator<'_, '_> {
         Ok(ac)
     }
 
+    /// Solves a 1 V excitation on each terminal of `driven` in turn (every
+    /// other contact grounded) against this operator's factorization and
+    /// hands each column's [`AcSolution`] to `f`, returning `f`'s results in
+    /// the order of `driven`.
+    ///
+    /// The columns go through [`PreparedSolver::solve_batch`], so on the
+    /// ILU(0)+BiCGSTAB strategy they fan out over `VAEM_THREADS` workers.
+    /// Each worker builds its
+    /// column's right-hand side, solves it and runs `f` on the solution, so
+    /// no node-space vector outlives its column. The results are
+    /// bit-identical to calling [`AcSweepOperator::solve_terminal`] and then
+    /// `f` for each terminal in order, at any thread count.
+    ///
+    /// # Errors
+    /// * [`FvmError::Configuration`] when no frequency has been set, or for
+    ///   an unknown terminal name (checked before any solve).
+    /// * The first failure in column order of the linear solve, the
+    ///   full-wave vector-potential solve or `f`.
+    pub fn solve_terminals<R, F>(&mut self, driven: &[&str], f: F) -> Result<Vec<R>, FvmError>
+    where
+        R: Send,
+        F: Fn(&AcSolution) -> Result<R, FvmError> + Sync,
+    {
+        let mut prepared = self.prepared.take().ok_or_else(no_frequency_error)?;
+        let terminals = self.solver.terminals();
+        let result = match driven
+            .iter()
+            .find(|name| terminals.index_of(name).is_none())
+        {
+            Some(name) => Err(unknown_terminal_error(name)),
+            None => {
+                let this = &*self;
+                let unit = |j: usize| {
+                    move |contact: usize| {
+                        if terminals.name(contact) == driven[j] {
+                            Complex64::ONE
+                        } else {
+                            Complex64::ZERO
+                        }
+                    }
+                };
+                prepared.solve_batch(
+                    driven.len(),
+                    |j, rhs| this.fill_rhs(unit(j), rhs),
+                    |j, solution, report| {
+                        f(&this.package(&solution, unit(j), driven[j], &report)?)
+                    },
+                )
+            }
+        };
+        self.prepared = Some(prepared);
+        result
+    }
+
     /// Shared solve path; returns the solution restricted to the unknown
     /// nodes alongside the assembled [`AcSolution`] so sweeps can warm-start
     /// the next point.
@@ -1371,36 +1426,49 @@ impl AcSweepOperator<'_, '_> {
         driven_label: &str,
         guess: Option<&[Complex64]>,
     ) -> Result<(AcSolution, Vec<Complex64>), FvmError> {
-        let solver = self.solver;
-        let prepared = self
-            .prepared
-            .as_mut()
-            .ok_or_else(|| FvmError::Configuration {
-                // vaem-lint: allow(H1) configuration-error message, failure path only
-                detail: "AC operator has no frequency set (call set_frequency first)".to_string(),
-            })?;
-        for name in excitations.keys() {
-            if solver.terminals().index_of(name).is_none() {
-                return Err(FvmError::Configuration {
-                    // vaem-lint: allow(H1) unknown-terminal error message, failure path only
-                    detail: format!("unknown terminal '{name}'"),
-                });
-            }
+        if self.prepared.is_none() {
+            return Err(no_frequency_error());
+        }
+        let terminals = self.solver.terminals();
+        if let Some(name) = excitations.keys().find(|n| terminals.index_of(n).is_none()) {
+            return Err(unknown_terminal_error(name));
         }
         let excitation_of = |contact: usize| -> Complex64 {
             excitations
-                .get(solver.terminals().name(contact))
+                .get(terminals.name(contact))
                 .copied()
                 .unwrap_or(Complex64::ZERO)
         };
 
         // vaem-lint: allow(H1) AC right-hand side sized once per frequency solve
         let mut rhs = vec![Complex64::ZERO; self.unknowns.len()];
+        self.fill_rhs(excitation_of, &mut rhs);
+        let prepared = self.prepared.as_mut().ok_or_else(no_frequency_error)?;
+        let (solution, report) = prepared.solve_with_guess(&rhs, guess)?;
+        let ac = self.package(&solution, excitation_of, driven_label, &report)?;
+        Ok((ac, solution))
+    }
+
+    /// Adds the couplings of the unknown rows into their Dirichlet (contact)
+    /// neighbours, driven at `excitation_of(contact)`, to the zeroed
+    /// right-hand side `rhs`.
+    fn fill_rhs(&self, excitation_of: impl Fn(usize) -> Complex64, rhs: &mut [Complex64]) {
         for &(ui, lid, contact) in &self.boundary {
             rhs[ui] -= self.link_admittance[lid.index()] * excitation_of(contact);
         }
-        let (solution, report) = prepared.solve_with_guess(&rhs, guess)?;
+    }
 
+    /// Scatters a solution on the unknown nodes into node space (contacts
+    /// at `excitation_of(contact)`), adds the full-wave vector potential
+    /// when enabled, and packages the result with the solver's report.
+    fn package(
+        &self,
+        solution: &[Complex64],
+        excitation_of: impl Fn(usize) -> Complex64,
+        driven_label: &str,
+        report: &SolveReport,
+    ) -> Result<AcSolution, FvmError> {
+        let solver = self.solver;
         let mesh = &solver.structure.mesh;
         // vaem-lint: allow(H1) solution scatter into node space, once per frequency solve
         let mut potential = vec![Complex64::ZERO; mesh.node_count()];
@@ -1426,7 +1494,7 @@ impl AcSweepOperator<'_, '_> {
             )?),
         };
 
-        let ac = AcSolution {
+        Ok(AcSolution {
             potential,
             // vaem-lint: allow(H2) the solution record owns its admittance table; one copy per frequency solve
             link_admittance: self.link_admittance.clone(),
@@ -1436,8 +1504,24 @@ impl AcSweepOperator<'_, '_> {
             driven_terminal: driven_label.to_string(),
             solver_strategy: report.strategy,
             linear_residual: report.residual_norm,
-        };
-        Ok((ac, solution))
+            krylov_iterations: report.iterations,
+        })
+    }
+}
+
+/// The error of a solve on an operator that has no frequency set yet.
+fn no_frequency_error() -> FvmError {
+    FvmError::Configuration {
+        // vaem-lint: allow(H1) configuration-error message, failure path only
+        detail: "AC operator has no frequency set (call set_frequency first)".to_string(),
+    }
+}
+
+/// The error of a solve that names a terminal the structure does not have.
+fn unknown_terminal_error(name: &str) -> FvmError {
+    FvmError::Configuration {
+        // vaem-lint: allow(H1) unknown-terminal error message, failure path only
+        detail: format!("unknown terminal '{name}'"),
     }
 }
 

@@ -25,7 +25,8 @@ use crate::lexer::{self, Comment, Tok, TokKind};
 use crate::parse::{self, Item, ItemKind};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-/// Fan-out primitives whose closure arguments become hot-path roots.
+/// Fan-out primitives, and the batched solves built on them, whose closure
+/// arguments run on worker threads and become hot-path roots.
 pub const PAR_FAMILY: &[&str] = &[
     "par_map",
     "par_map_with",
@@ -33,8 +34,10 @@ pub const PAR_FAMILY: &[&str] = &[
     "par_map_mut",
     "par_map_mut_with_chunk",
     "par_map_indices",
-    "par_for_with",
+    "par_map_init",
     "steal_indices",
+    "solve_batch",
+    "solve_terminals",
 ];
 
 /// Files whose every non-`cold` function is a hot-path root (the SIMD/

@@ -84,38 +84,44 @@ fn auto_chunk(len: usize, threads: usize) -> usize {
     (len / (threads * 4)).max(1)
 }
 
-/// A raw output-slot pointer that may cross the scoped-thread boundary.
+/// A raw element pointer that may cross the scoped-thread boundary: the
+/// output slots of every fan-out, the input items of [`par_map_mut`] and the
+/// per-worker states of [`par_map_init`].
 ///
-/// Safety contract (upheld by [`steal_indices`]): every index in `0..len`
-/// is claimed by exactly one worker through the shared atomic cursor, so no
-/// two threads ever write the same slot and the parent does not touch the
+/// Safety contract (upheld by [`steal_indices`] and its callers): every
+/// element behind the pointer is reached by exactly one worker — output
+/// slots and mutable items through the index that [`steal_indices`] hands
+/// to exactly one claimant, worker states through the worker ordinal that
+/// exactly one spawned thread carries — and the parent does not touch the
 /// buffer until all workers have joined.
-struct SlotPtr<U>(*mut Option<U>);
-// SAFETY: sending the pointer is sound because the slot values are `Send`
-// and the buffer outlives the scope that carries the pointer across
-// threads (the parent owns it and joins every worker before reading).
+struct SlotPtr<U>(*mut U);
+// SAFETY: sending the pointer is sound because the elements are `Send` and
+// the parent-owned buffer outlives the scope that carries the pointer
+// across threads (the parent joins every worker before reading it).
 unsafe impl<U: Send> Send for SlotPtr<U> {}
-// SAFETY: shared access is sound because workers write disjoint slots —
-// `steal_indices` hands each index to exactly one claimant — so no slot is
-// ever aliased mutably; `&self` itself only exposes the raw pointer.
+// SAFETY: shared access is sound because workers touch disjoint elements —
+// each index and each worker ordinal belongs to exactly one thread — so no
+// element is ever aliased mutably; `&self` itself only exposes the raw
+// pointer.
 unsafe impl<U: Send> Sync for SlotPtr<U> {}
 
 /// The single work-stealing engine behind every fan-out in this crate:
 /// spawns up to `threads` scoped workers that repeatedly claim the next
 /// unclaimed block of `chunk` indices off a shared atomic cursor and invoke
-/// `body` once per claimed index. Returns when every index in `0..len` has
-/// been processed (a worker panic propagates out of the scope).
+/// `body(worker, index)` once per claimed index. Returns when every index
+/// in `0..len` has been processed (a worker panic propagates out of the
+/// scope).
 ///
-/// Guarantee the callers' unsafe slot/item writes rely on: each index in
-/// `0..len` is passed to **exactly one** `body` invocation — the
-/// `fetch_add` hands out disjoint ranges, and the scope joins all workers
-/// before returning. Keeping this loop in one place means there is exactly
-/// one claiming discipline to audit for both the shared-input and the
-/// mutable-input fan-out.
+/// Guarantees the callers' unsafe slot, item and state accesses rely on:
+/// each index in `0..len` is passed to **exactly one** `body` invocation —
+/// the `fetch_add` hands out disjoint ranges — each `worker` ordinal in
+/// `0..threads` is carried by exactly one spawned thread, and the scope
+/// joins all workers before returning. Keeping this loop in one place means
+/// there is exactly one claiming discipline to audit for every fan-out.
 // vaem-lint: hot claiming loop of the fan-out primitives, runs on every worker
 fn steal_indices<F>(threads: usize, chunk: usize, len: usize, body: F)
 where
-    F: Fn(usize) + Sync,
+    F: Fn(usize, usize) + Sync,
 {
     // No point spawning workers that could never win a claim.
     let workers = threads.min(len.div_ceil(chunk));
@@ -123,7 +129,7 @@ where
     std::thread::scope(|scope| {
         let body = &body;
         let cursor = &cursor;
-        for _ in 0..workers {
+        for worker in 0..workers {
             scope.spawn(move || loop {
                 let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                 if start >= len {
@@ -131,11 +137,37 @@ where
                 }
                 let end = (start + chunk).min(len);
                 for index in start..end {
-                    body(index);
+                    body(worker, index);
                 }
             });
         }
     });
+}
+
+/// [`steal_indices`] collecting `body(worker, index)` into output slot
+/// `index`: the results come back in index order whatever the schedule.
+// vaem-lint: cold fan-out setup, the result slots are allocated once per call on the calling thread
+fn steal_map<U, F>(threads: usize, chunk: usize, len: usize, body: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize, usize) -> U + Sync,
+{
+    let mut out: Vec<Option<U>> = Vec::new();
+    out.resize_with(len, || None);
+    // Capture the `Sync` wrapper by reference — a disjoint field capture of
+    // the raw pointer would sidestep its Send/Sync impls.
+    let slots = &SlotPtr(out.as_mut_ptr());
+    steal_indices(threads, chunk, len, |worker, index| {
+        let value = body(worker, index);
+        // SAFETY: `steal_indices` hands `index` to exactly one invocation,
+        // it is in bounds, and the buffer outlives the call. Writing
+        // through the pointer drops the old value, which is always the
+        // `None` the slot was initialized with.
+        unsafe { *slots.0.add(index) = Some(value) };
+    });
+    out.into_iter()
+        .map(|slot| slot.expect("every slot is filled by exactly one worker"))
+        .collect()
 }
 
 /// Maps `f` over `items` on up to [`thread_count`] scoped threads.
@@ -184,38 +216,10 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let mut out: Vec<Option<U>> = Vec::new();
-    out.resize_with(items.len(), || None);
-    let slots = SlotPtr(out.as_mut_ptr());
-    // Capture the `Sync` wrapper by reference — a disjoint field capture
-    // of the raw pointer would sidestep its Send/Sync impls.
-    let slots = &slots;
-    steal_indices(threads, chunk.max(1), items.len(), |index| {
-        // SAFETY: `steal_indices` hands `index` to exactly one invocation,
-        // it is in bounds, and the buffer outlives the call. Writing
-        // through the pointer drops the old value, which is always the
-        // `None` the slot was initialized with.
-        unsafe { *slots.0.add(index) = Some(f(index, &items[index])) };
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every slot is filled by exactly one worker"))
-        .collect()
+    steal_map(threads, chunk.max(1), items.len(), |_, index| {
+        f(index, &items[index])
+    })
 }
-
-/// A raw input-slot pointer for the mutable fan-out.
-///
-/// Safety contract (upheld by [`par_map_mut_with_chunk`]): every index in
-/// `0..len` is claimed by exactly one worker, so no two threads ever hold a
-/// mutable reference to the same element, and the parent does not touch the
-/// slice until all workers have joined.
-struct ItemPtr<T>(*mut T);
-// SAFETY: sending the pointer is sound because the items are `Send` and
-// the parent-owned slice outlives the scope carrying the pointer.
-unsafe impl<T: Send> Send for ItemPtr<T> {}
-// SAFETY: shared access is sound because each index — and therefore each
-// `&mut` item projected from the pointer — is claimed by exactly one
-// worker, so no element is aliased; `&self` only exposes the raw pointer.
-unsafe impl<T: Send> Sync for ItemPtr<T> {}
 
 /// [`par_map`] over **mutable** items: `f` receives `(index, &mut item)` and
 /// may update the item in place while producing an output.
@@ -258,81 +262,67 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let len = items.len();
-    let mut out: Vec<Option<U>> = Vec::new();
-    out.resize_with(len, || None);
-    let slots = SlotPtr(out.as_mut_ptr());
-    let inputs = ItemPtr(items.as_mut_ptr());
-    // Capture the `Sync` wrappers by reference — disjoint field captures
-    // of the raw pointers would sidestep their Send/Sync impls.
-    let (slots, inputs) = (&slots, &inputs);
-    steal_indices(threads, chunk.max(1), len, |index| {
+    let inputs = &SlotPtr(items.as_mut_ptr());
+    steal_map(threads, chunk.max(1), items.len(), |_, index| {
         // SAFETY: `steal_indices` hands `index` to exactly one invocation
-        // and it is in bounds, so the item reference is exclusive and the
-        // output slot is written exactly once (dropping the `None` it was
-        // initialized with).
-        unsafe {
-            let item = &mut *inputs.0.add(index);
-            *slots.0.add(index) = Some(f(index, item));
-        }
-    });
-    out.into_iter()
-        .map(|slot| slot.expect("every slot is filled by exactly one worker"))
-        .collect()
+        // and it is in bounds, so the item reference is exclusive.
+        let item = unsafe { &mut *inputs.0.add(index) };
+        f(index, item)
+    })
 }
 
-/// Fans the indices `0..len` out over up to `threads` workers, each owning a
-/// private scratch state created by `init` — the primitive behind the
-/// level-scheduled parallel numeric factorization, where every worker needs
-/// its own dense scatter vector but the columns of one elimination level are
-/// otherwise independent.
+/// Maps `f` over the indices `0..len` on up to `threads` workers, each
+/// owning one private state built by `init` **on the calling thread** —
+/// the primitive behind the level-scheduled parallel numeric factorization
+/// (one dense scatter column per worker) and the batched Krylov solve of a
+/// prepared operator (one BiCGSTAB workspace and right-hand-side buffer per
+/// worker). Building the states before the fan-out keeps their buffers in
+/// the caller's allocator arena instead of one per worker thread.
 ///
-/// `body` receives `(&mut state, index)`; every index is claimed by exactly
-/// one worker through the same atomic-cursor discipline as [`par_map`], and
-/// the call returns only after all workers have joined — so writes made by
-/// `body` happen-before everything after the call. With `threads <= 1` (or a
-/// single index) no thread is spawned and one state processes all indices in
-/// ascending order; callers whose `body` is a pure function of `index` and
-/// of data fixed before the call therefore get results that are independent
-/// of the thread count, since per-index outputs never depend on which
-/// worker's scratch computed them.
+/// `f` receives `(&mut state, index)` and its results are returned in index
+/// order. Every index is claimed by exactly one worker through the same
+/// atomic-cursor discipline as [`par_map`], each state is owned by exactly
+/// one worker (no lock), and the call returns only after all workers have
+/// joined — so writes made by `f` happen-before everything after the call.
+/// With `threads <= 1` (or a single index) no thread is spawned and one
+/// state processes all indices in ascending order. A caller whose `f` is a
+/// pure function of `index` and of data fixed before the call therefore
+/// gets results independent of the thread count and claim granularity,
+/// since a result never depends on which worker's state computed it.
 ///
 /// # Panics
 /// Propagates a panic from any worker thread.
-pub fn par_for_with<S, I, F>(threads: usize, chunk: usize, len: usize, init: I, body: F)
+// vaem-lint: cold fan-out setup, the states and result slots are built once per call on the calling thread
+pub fn par_map_init<S, U, I, F>(
+    threads: usize,
+    chunk: usize,
+    len: usize,
+    mut init: I,
+    f: F,
+) -> Vec<U>
 where
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) + Sync,
+    S: Send,
+    U: Send,
+    I: FnMut() -> S,
+    F: Fn(&mut S, usize) -> U + Sync,
 {
     let threads = threads.clamp(1, MAX_THREADS).min(len.max(1));
     if threads <= 1 || len <= 1 {
         let mut state = init();
-        for index in 0..len {
-            body(&mut state, index);
-        }
-        return;
+        return (0..len).map(|index| f(&mut state, index)).collect();
     }
     let chunk = chunk.max(1);
     let workers = threads.min(len.div_ceil(chunk));
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let (body, init, cursor) = (&body, &init, &cursor);
-        for _ in 0..workers {
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= len {
-                        break;
-                    }
-                    let end = (start + chunk).min(len);
-                    for index in start..end {
-                        body(&mut state, index);
-                    }
-                }
-            });
-        }
-    });
+    let mut owned: Vec<S> = (0..workers).map(|_| init()).collect();
+    let states = &SlotPtr(owned.as_mut_ptr());
+    steal_map(workers, chunk, len, |worker, index| {
+        // SAFETY: `steal_indices` spawns at most `workers` threads and
+        // runs each worker ordinal on exactly one of them, so `worker` is
+        // in bounds of `owned` (which outlives the fan-out) and this is the
+        // only reference to `owned[worker]`.
+        let state = unsafe { &mut *states.0.add(worker) };
+        f(state, index)
+    })
 }
 
 /// Runs `f` for every index in `0..count` (no input slice) and collects the
@@ -499,30 +489,33 @@ mod tests {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let len = 503;
         let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
-        let states_created = AtomicUsize::new(0);
+        let caller = std::thread::current().id();
         for (threads, chunk) in [(1, 1), (3, 2), (8, 1), (4, 64)] {
             for h in &hits {
                 h.store(0, Ordering::Relaxed);
             }
-            states_created.store(0, Ordering::Relaxed);
-            par_for_with(
+            let mut created = 0;
+            let out = par_map_init(
                 threads,
                 chunk,
                 len,
                 || {
-                    states_created.fetch_add(1, Ordering::Relaxed);
+                    // States are built before the fan-out, on the caller.
+                    assert_eq!(std::thread::current().id(), caller);
+                    created += 1;
                     vec![0u8; 16]
                 },
                 |scratch, index| {
                     scratch[index % 16] ^= 1;
                     hits[index].fetch_add(1, Ordering::Relaxed);
+                    index
                 },
             );
             assert!(
                 hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
                 "threads {threads}, chunk {chunk}"
             );
-            let created = states_created.load(Ordering::Relaxed);
+            assert!(out.iter().enumerate().all(|(i, &v)| v == i));
             assert!(
                 (1..=threads).contains(&created),
                 "threads {threads}: {created} states"
@@ -532,20 +525,36 @@ mod tests {
 
     #[test]
     fn per_worker_state_fan_out_handles_empty_and_serial_inputs() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        let touched = AtomicBool::new(false);
-        par_for_with(4, 1, 0, || (), |_, _| unreachable!("no indices"));
-        par_for_with(
-            1,
-            1,
-            3,
-            || touched.store(true, Ordering::Relaxed),
-            |_, _| {},
-        );
-        assert!(
-            touched.load(Ordering::Relaxed),
-            "serial path still creates its one state"
-        );
+        let mut touched = false;
+        let none: Vec<()> = par_map_init(4, 1, 0, || (), |_, _| unreachable!("no indices"));
+        assert!(none.is_empty());
+        let out = par_map_init(1, 1, 3, || touched = true, |_, i| i + 1);
+        assert_eq!(out, vec![1, 2, 3]);
+        assert!(touched, "serial path still creates its one state");
+    }
+
+    /// The stateful map must not leak scheduling into results: each worker's
+    /// scratch carries leftovers from whichever indices that worker claimed
+    /// before, and a pure `f` must still produce the serial output for every
+    /// (thread count, claim granularity) combination.
+    #[test]
+    fn per_worker_state_map_is_independent_of_threads_and_chunk() {
+        let f = |scratch: &mut Vec<u64>, i: usize| {
+            scratch.clear();
+            scratch.extend((0..(i % 13 + 1) as u64).map(|k| k.wrapping_mul(i as u64 + 7)));
+            scratch
+                .iter()
+                .fold(i as u64, |acc, &v| acc.wrapping_mul(31).wrapping_add(v))
+        };
+        let len = 97;
+        let serial = par_map_init(1, 1, len, Vec::new, f);
+        assert_eq!(serial.len(), len);
+        for threads in [2, 3, 4, 8] {
+            for chunk in [1, 2, 7, 64] {
+                let out = par_map_init(threads, chunk, len, Vec::new, f);
+                assert_eq!(out, serial, "threads = {threads}, chunk = {chunk}");
+            }
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl<T: Scalar> BiCgStabWorkspace<T> {
         Self::default()
     }
 
-    fn reset(&mut self, n: usize) {
+    pub(crate) fn reset(&mut self, n: usize) {
         for buf in [
             &mut self.r,
             &mut self.r_hat,

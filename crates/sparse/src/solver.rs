@@ -42,6 +42,83 @@ fn fault_poison<T: Scalar>(x: &mut [T]) {
     }
 }
 
+/// The canonical forced failure of an armed `krylov` fault site.
+fn forced_krylov() -> SparseError {
+    SparseError::NotConverged {
+        iterations: 0,
+        residual: f64::INFINITY,
+    }
+}
+
+/// Whether the calling thread's fault scope arms a site that a prepared
+/// solve can reach. The workers of [`PreparedSolver::solve_batch`] run
+/// outside that thread-local scope, so the batch stays serial while one is
+/// armed.
+fn fault_scope_armed() -> bool {
+    [
+        FaultSite::Pivot,
+        FaultSite::Krylov,
+        FaultSite::Nan,
+        FaultSite::Ilu,
+    ]
+    .into_iter()
+    .any(faults::armed)
+}
+
+/// One ILU(0)-preconditioned BiCGSTAB attempt on the scaled system — the
+/// single place both [`PreparedSolver::solve_with_guess`] and the
+/// speculative columns of [`PreparedSolver::solve_batch`] run it. An armed
+/// `krylov` fault fails it before it starts.
+fn bicgstab_attempt<T: Scalar>(
+    scaled: &CsrMatrix<T>,
+    ilu: &Ilu0<T>,
+    options: KrylovOptions,
+    bs: &[T],
+    guess: Option<&[T]>,
+    ws: &mut BiCgStabWorkspace<T>,
+) -> Result<(Vec<T>, usize), SparseError> {
+    if faults::armed(FaultSite::Krylov) {
+        return Err(forced_krylov());
+    }
+    BiCgStab::new(options).solve_with_workspace(scaled, bs, Some(ilu), guess, ws)
+}
+
+/// The tail of every prepared solve: the relative residual of the
+/// *original* system, recovered from the scaled one, and the unscaled
+/// solution (NaN-poisoned when the `nan` fault is armed). `y` solves the
+/// scaled system `Â·ŷ = b̂` for `b̂ = bs`, the scaled form of `b`.
+fn finish_solve<T: Scalar>(
+    scaled: &CsrMatrix<T>,
+    scaling: &RowColScaling,
+    b: &[T],
+    bs: &[T],
+    y: &[T],
+    strategy: &'static str,
+    iterations: usize,
+) -> (Vec<T>, SolveReport) {
+    // b − A·x = R⁻¹·(b̂ − Â·ŷ) when Â = R·A·C, x = C·ŷ and b̂ = R·b.
+    let n = scaled.rows();
+    let mut resid_sqr = 0.0;
+    let ay = scaled.matvec(y);
+    for i in 0..n {
+        let ri = (bs[i] - ay[i]).modulus() / scaling.row_factors()[i];
+        resid_sqr += ri * ri;
+    }
+    let resid = resid_sqr.sqrt() / vecops::norm2(b).max(1e-300);
+    let mut x = scaling.unscale_solution(y);
+    fault_poison(&mut x);
+    (
+        x,
+        SolveReport {
+            strategy,
+            iterations,
+            residual_norm: resid,
+            dimension: n,
+            nnz: scaled.nnz(),
+        },
+    )
+}
+
 /// Strategy selection for [`LinearSolver`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
@@ -749,10 +826,6 @@ impl<T: Scalar> PreparedSolver<T> {
         // direct rescue below untouched — the fault exercises the whole
         // escalation chain instead of one solver call.
         let inject_krylov = faults::armed(FaultSite::Krylov);
-        let forced_krylov = || SparseError::NotConverged {
-            iterations: 0,
-            residual: f64::INFINITY,
-        };
         // `None` after the match means "both Krylov strategies failed in
         // Auto mode" — rescued by the direct LU below, mirroring the
         // bicgstab → gmres → direct chain of [`LinearSolver::solve`].
@@ -774,18 +847,9 @@ impl<T: Scalar> PreparedSolver<T> {
                 gmres_fallback,
             } => {
                 state.ensure_baselined(scaled);
-                let solver = BiCgStab::new(*options);
-                let mut attempt = if inject_krylov {
-                    Err(forced_krylov())
-                } else {
-                    solver.solve_with_workspace(
-                        scaled,
-                        &bs,
-                        Some(&state.ilu),
-                        guess_scaled.as_deref(),
-                        bicgstab_ws,
-                    )
-                };
+                let guess = guess_scaled.as_deref();
+                let mut attempt =
+                    bicgstab_attempt(scaled, &state.ilu, *options, &bs, guess, bicgstab_ws);
                 // A failure with stale factors may be the preconditioner's
                 // fault: rebuild from the current values and retry once
                 // before escalating through the fallback chain.
@@ -794,13 +858,8 @@ impl<T: Scalar> PreparedSolver<T> {
                     && state.stale
                     && state.rebuild(scaled).is_ok()
                 {
-                    attempt = solver.solve_with_workspace(
-                        scaled,
-                        &bs,
-                        Some(&state.ilu),
-                        guess_scaled.as_deref(),
-                        bicgstab_ws,
-                    );
+                    attempt =
+                        bicgstab_attempt(scaled, &state.ilu, *options, &bs, guess, bicgstab_ws);
                 }
                 match attempt {
                     Ok((y, it)) => {
@@ -880,27 +939,161 @@ impl<T: Scalar> PreparedSolver<T> {
                 (y, "sparse-lu", 0)
             }
         };
-        // Residual of the *original* system, recovered from the scaled one:
-        // b − A·x = R⁻¹·(b̂ − Â·ŷ) when Â = R·A·C, x = C·ŷ and b̂ = R·b.
-        let mut resid_sqr = 0.0;
-        let ay = self.scaled.matvec(&y);
-        for i in 0..n {
-            let ri = (bs[i] - ay[i]).modulus() / self.scaling.row_factors()[i];
-            resid_sqr += ri * ri;
-        }
-        let resid = resid_sqr.sqrt() / vecops::norm2(b).max(1e-300);
-        let mut x = self.scaling.unscale_solution(&y);
-        fault_poison(&mut x);
-        Ok((
-            x,
-            SolveReport {
-                strategy,
-                iterations,
-                residual_norm: resid,
-                dimension: n,
-                nnz: self.scaled.nnz(),
-            },
+        Ok(finish_solve(
+            &self.scaled,
+            &self.scaling,
+            b,
+            &bs,
+            &y,
+            strategy,
+            iterations,
         ))
+    }
+
+    /// Solves `A·x_j = b_j` for the columns `j in 0..count` of this operator
+    /// and hands each column's solution and report to `reduce`, returning
+    /// the reduced results in column order.
+    ///
+    /// `rhs(j, b)` writes column `j`'s right-hand side into `b` (length
+    /// [`dim`](PreparedSolver::dim), zeroed on entry). The outcome is
+    /// bit-identical to the serial loop
+    /// `for j in 0..count { let (x, r) = self.solve(&b_j)?; out.push(reduce(j, x, r)?) }`
+    /// at any thread count: every solution bit, every [`SolveReport`], the
+    /// ILU rebuild count, any direct-LU rescue, the final
+    /// [`strategy`](PreparedSolver::strategy) and the first error.
+    ///
+    /// On the ILU(0)+BiCGSTAB strategy the columns fan out over
+    /// [`vaem_parallel::thread_count`] workers. Each worker owns one
+    /// BiCGSTAB workspace and one right-hand-side buffer, built on the
+    /// calling thread, and runs whole columns — `rhs`, the BiCGSTAB attempt
+    /// from a zero guess against the shared scaled matrix and ILU factors,
+    /// the residual/unscale tail and `reduce` — so no column's vectors
+    /// outlive it. The calling thread then commits the columns in order and
+    /// feeds each iteration count to the lazy ILU refresh policy, as the
+    /// serial loop does. **Speculative-commit rule:** at the first column
+    /// whose attempt failed, or once the policy has rebuilt the
+    /// preconditioner, the remaining speculative results are discarded and
+    /// those columns finish through
+    /// [`solve_with_guess`](PreparedSolver::solve_with_guess) on the calling
+    /// thread, so a speculative column is only ever kept when it ran
+    /// against the preconditioner the serial loop would have used.
+    ///
+    /// The batch is the serial loop itself for direct and GMRES-only
+    /// factorizations, for `count <= 1`, on one thread, and while a fault
+    /// scope is armed on the calling thread (the workers would not see it).
+    ///
+    /// # Errors
+    /// The serial loop's first error: a solve that fails after the
+    /// fallback chain, or a failed `reduce`, whichever comes first in
+    /// column order.
+    pub fn solve_batch<R, E, B, F>(&mut self, count: usize, rhs: B, reduce: F) -> Result<Vec<R>, E>
+    where
+        R: Send,
+        E: From<SparseError> + Send,
+        B: Fn(usize, &mut [T]) + Sync,
+        F: Fn(usize, Vec<T>, SolveReport) -> Result<R, E> + Sync,
+    {
+        self.solve_batch_on(vaem_parallel::thread_count(), count, rhs, reduce)
+    }
+
+    /// [`PreparedSolver::solve_batch`] on an explicit worker count.
+    fn solve_batch_on<R, E, B, F>(
+        &mut self,
+        threads: usize,
+        count: usize,
+        rhs: B,
+        reduce: F,
+    ) -> Result<Vec<R>, E>
+    where
+        R: Send,
+        E: From<SparseError> + Send,
+        B: Fn(usize, &mut [T]) + Sync,
+        F: Fn(usize, Vec<T>, SolveReport) -> Result<R, E> + Sync,
+    {
+        let mut speculative = self.speculate(threads, count, &rhs, &reduce).into_iter();
+        // Every change of the preconditioner counts a rebuild (or replaces
+        // the factorization), so a speculative column is committed only
+        // while this count still names the factors it ran against.
+        let rebuilds = self.ilu_rebuilds();
+        let mut b = Vec::new();
+        let mut out = Vec::with_capacity(count);
+        for j in 0..count {
+            match (speculative.next(), &mut self.factorization) {
+                (Some(Some((iterations, reduced))), Factorization::Ilu { state, .. })
+                    if state.rebuilds == rebuilds =>
+                {
+                    state.observe(iterations, "ilu0-bicgstab", &self.scaled);
+                    out.push(reduced?);
+                }
+                _ => {
+                    speculative = Vec::new().into_iter();
+                    b.clear();
+                    b.resize(self.dim(), T::zero());
+                    rhs(j, &mut b);
+                    let (x, report) = self.solve_with_guess(&b, None)?;
+                    out.push(reduce(j, x, report)?);
+                }
+            }
+        }
+        Ok(out)
+    }
+
+    /// The concurrent phase of [`PreparedSolver::solve_batch`]: one
+    /// speculative BiCGSTAB column per entry, `None` where the attempt
+    /// failed. Empty when the batch must run serially.
+    fn speculate<R, E, B, F>(
+        &mut self,
+        threads: usize,
+        count: usize,
+        rhs: &B,
+        reduce: &F,
+    ) -> Vec<Option<(usize, Result<R, E>)>>
+    where
+        R: Send,
+        E: Send,
+        B: Fn(usize, &mut [T]) + Sync,
+        F: Fn(usize, Vec<T>, SolveReport) -> Result<R, E> + Sync,
+    {
+        let n = self.dim();
+        let Self {
+            scaled,
+            scaling,
+            factorization,
+            options,
+            ..
+        } = self;
+        let Factorization::Ilu { state, .. } = factorization else {
+            return Vec::new();
+        };
+        if count <= 1 || threads <= 1 || fault_scope_armed() {
+            return Vec::new();
+        }
+        // The serial loop's first solve checks the baseline before its
+        // attempt. Later checks cannot change the state before a rebuild (a
+        // failed baseline rebuild fails again on the same matrix), and a
+        // rebuild ends the speculation.
+        state.ensure_baselined(scaled);
+        let (scaled, scaling, ilu, options) = (&*scaled, &*scaling, &state.ilu, *options);
+        vaem_parallel::par_map_init(
+            threads,
+            1,
+            count,
+            || {
+                let mut ws = BiCgStabWorkspace::new();
+                ws.reset(n);
+                // vaem-lint: allow(H1) per-worker rhs buffer, built once per batch on the calling thread
+                (ws, vec![T::zero(); n])
+            },
+            |(ws, b), j| {
+                b.fill(T::zero());
+                rhs(j, b);
+                let bs = scaling.scale_rhs(b);
+                let (y, iterations) = bicgstab_attempt(scaled, ilu, options, &bs, None, ws).ok()?;
+                let (x, report) =
+                    finish_solve(scaled, scaling, b, &bs, &y, "ilu0-bicgstab", iterations);
+                Some((iterations, reduce(j, x, report)))
+            },
+        )
     }
 }
 
@@ -1607,5 +1800,198 @@ mod tests {
             .unwrap();
         let (xr, _) = refreshed.solve(&b).unwrap();
         assert!(vecops::relative_diff(&xr, &x_true, 1e-30) < 1e-6);
+    }
+
+    /// The per-column record both sides of a batch comparison produce: the
+    /// solution bits, the report (residual as bits), and whether the column
+    /// was reduced on the calling thread.
+    type Column = (Vec<u64>, &'static str, usize, u64, bool);
+
+    fn column_record(x: &[f64], report: &SolveReport, caller: std::thread::ThreadId) -> Column {
+        (
+            x.iter().map(|v| v.to_bits()).collect(),
+            report.strategy,
+            report.iterations,
+            report.residual_norm.to_bits(),
+            std::thread::current().id() == caller,
+        )
+    }
+
+    /// Runs `columns` through `solve_batch_on` at 1, 2 and 4 threads and
+    /// through a serial `solve` loop, each on a fresh solver from `make`,
+    /// and asserts bit-identity of every solution entry and report, of the
+    /// ILU rebuild count and of the final strategy. Returns the serial
+    /// reports and whether any batched column ran on a worker thread.
+    fn assert_batch_matches_serial(
+        make: impl Fn() -> PreparedSolver<f64>,
+        columns: &[Vec<f64>],
+    ) -> (Vec<SolveReport>, bool) {
+        let caller = std::thread::current().id();
+        let mut serial = make();
+        let mut reports = Vec::new();
+        let expected: Vec<Column> = columns
+            .iter()
+            .map(|b| {
+                let (x, report) = serial.solve(b).unwrap();
+                let record = column_record(&x, &report, caller);
+                reports.push(report);
+                record
+            })
+            .collect();
+        let mut fanned_out = false;
+        for threads in [1, 2, 4] {
+            let mut batched = make();
+            let got: Vec<Column> = batched
+                .solve_batch_on(
+                    threads,
+                    columns.len(),
+                    |j, b| b.copy_from_slice(&columns[j]),
+                    |_, x, report| Ok::<_, SparseError>(column_record(&x, &report, caller)),
+                )
+                .unwrap();
+            for (j, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert_eq!(
+                    (&g.0, g.1, g.2, g.3),
+                    (&e.0, e.1, e.2, e.3),
+                    "column {j}, threads {threads}"
+                );
+                fanned_out |= !g.4;
+            }
+            assert_eq!(got.len(), expected.len());
+            assert_eq!(
+                batched.ilu_rebuilds(),
+                serial.ilu_rebuilds(),
+                "threads {threads}"
+            );
+            assert_eq!(batched.strategy(), serial.strategy(), "threads {threads}");
+        }
+        (reports, fanned_out)
+    }
+
+    fn rhs_columns(a: &CsrMatrix<f64>, count: usize) -> Vec<Vec<f64>> {
+        (0..count)
+            .map(|k| {
+                let x: Vec<f64> = (0..a.rows())
+                    .map(|i| ((i * (k + 1)) as f64 * 0.07).sin())
+                    .collect();
+                a.matvec(&x)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_solve_with_a_fresh_ilu_matches_the_serial_loop_bit_for_bit() {
+        let a = varying_laplacian(16, 0.4, 0.3);
+        let solver = LinearSolver::new(SolverKind::Auto).with_direct_threshold(50);
+        let columns = rhs_columns(&a, 6);
+        let (reports, fanned_out) =
+            assert_batch_matches_serial(|| solver.prepare(&a).unwrap(), &columns);
+        assert!(reports.iter().all(|r| r.strategy == "ilu0-bicgstab"));
+        assert!(fanned_out, "the columns must fan out to worker threads");
+
+        // The first failing reducer is the batch's error, as in the loop.
+        let mut prepared = solver.prepare(&a).unwrap();
+        let err = prepared
+            .solve_batch_on(
+                2,
+                columns.len(),
+                |j, b| b.copy_from_slice(&columns[j]),
+                |j, _, _| match j {
+                    0..=2 => Ok(j),
+                    _ => Err(SparseError::ZeroPivot { index: j }),
+                },
+            )
+            .unwrap_err();
+        assert!(
+            matches!(err, SparseError::ZeroPivot { index: 3 }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn batched_solve_keeps_a_mid_batch_ilu_refresh_of_a_stale_donation() {
+        // A donated nominal ILU on a harsh sample enters stale. Zero
+        // columns converge at iteration 0 and keep it; the first real
+        // column degrades past the threshold, the policy rebuilds, and the
+        // batch must finish the remaining columns as the loop does.
+        let nominal = varying_laplacian(20, 0.0, 0.0);
+        let harsh = varying_laplacian(20, 2.2, 2.5);
+        let solver = LinearSolver::new(SolverKind::IluBiCgStab).with_options(KrylovOptions {
+            max_iterations: 10_000,
+            ..KrylovOptions::default()
+        });
+        let mut donor = solver.prepare(&nominal).unwrap();
+        let _ = donor.solve(&rhs_columns(&nominal, 1)[0]).unwrap();
+        let donation = donor.ilu_donor().unwrap();
+        let mut columns = vec![vec![0.0; harsh.rows()]; 2];
+        columns.extend(rhs_columns(&harsh, 4));
+        let make = || {
+            solver
+                .prepare_seeded_with(&harsh, None, Some(&donation))
+                .unwrap()
+        };
+        let (reports, _) = assert_batch_matches_serial(make, &columns);
+        assert_eq!(reports[0].iterations, 0);
+        let mut serial = make();
+        for b in &columns[..2] {
+            serial.solve(b).unwrap();
+        }
+        assert_eq!(
+            serial.ilu_rebuilds(),
+            0,
+            "the zero columns keep the donation"
+        );
+        serial.solve(&columns[2]).unwrap();
+        assert_eq!(serial.ilu_rebuilds(), 1, "column 2 retires the donation");
+    }
+
+    #[test]
+    fn batched_solve_keeps_a_mid_batch_direct_rescue() {
+        // One iteration at an unreachable tolerance: zero columns still
+        // converge at iteration 0, the first real column fails BiCGSTAB and
+        // GMRES and is rescued by the direct LU, which then answers every
+        // later column.
+        let a = laplacian_2d(25);
+        let solver = LinearSolver::new(SolverKind::Auto).with_options(KrylovOptions {
+            tolerance: 1e-16,
+            max_iterations: 1,
+            restart: 2,
+        });
+        let mut columns = vec![vec![0.0; a.rows()]; 3];
+        columns.extend(rhs_columns(&a, 3));
+        let (reports, _) = assert_batch_matches_serial(|| solver.prepare(&a).unwrap(), &columns);
+        let strategies: Vec<&str> = reports.iter().map(|r| r.strategy).collect();
+        assert_eq!(
+            strategies,
+            [
+                "ilu0-bicgstab",
+                "ilu0-bicgstab",
+                "ilu0-bicgstab",
+                "sparse-lu",
+                "sparse-lu",
+                "sparse-lu"
+            ]
+        );
+    }
+
+    #[test]
+    fn batched_solve_under_an_armed_fault_scope_matches_the_serial_loop() {
+        use std::sync::Arc;
+        use vaem_parallel::faults::{FaultPlan, FaultStage};
+
+        let a = varying_laplacian(14, 0.3, 0.9);
+        let solver = LinearSolver::new(SolverKind::Auto).with_direct_threshold(50);
+        let columns = rhs_columns(&a, 4);
+        for (spec, strategy) in [
+            ("krylov@sscm:0", "sparse-lu"),
+            ("nan@sscm:0", "ilu0-bicgstab"),
+        ] {
+            let plan = Arc::new(FaultPlan::parse(spec).unwrap());
+            let _guard = faults::scope(plan, FaultStage::Sscm, 0, 0);
+            let (reports, fanned_out) =
+                assert_batch_matches_serial(|| solver.prepare(&a).unwrap(), &columns);
+            assert!(reports.iter().all(|r| r.strategy == strategy), "{spec}");
+            assert!(!fanned_out, "{spec}: workers would miss the scope");
+        }
     }
 }

@@ -26,7 +26,7 @@
 //! The numeric phase can also run **in parallel across the elimination
 //! tree**: columns are scheduled level by level (a column's dependencies —
 //! the pivots appearing in its `U` column — always sit in strictly earlier
-//! levels), with the fan-out going through [`vaem_parallel::par_for_with`]
+//! levels), with the fan-out going through [`vaem_parallel::par_map_init`]
 //! so each worker owns a private dense scratch column. Every column's
 //! factor values are a pure function of the matrix values and of its
 //! dependencies' finished columns, so the factors are **bit-identical at
@@ -659,7 +659,7 @@ impl SymbolicLu {
                         if failed_ref.load(AtomicOrdering::Relaxed) != usize::MAX {
                             break;
                         }
-                        // SAFETY: no workers are live (par_for_with joins
+                        // SAFETY: no workers are live (par_map_init joins
                         // before returning), this thread has exclusive
                         // access, and the column's dependencies finished in
                         // earlier levels.
@@ -671,7 +671,7 @@ impl SymbolicLu {
                     }
                 } else {
                     let chunk = (cols.len() / (threads * 4)).max(1);
-                    vaem_parallel::par_for_with(
+                    vaem_parallel::par_map_init(
                         threads,
                         chunk,
                         cols.len(),
