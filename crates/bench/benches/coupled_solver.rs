@@ -1,9 +1,9 @@
 //! Criterion bench: the deterministic coupled solver stages on the
-//! metal-plug structure (DC Newton, AC electro-quasi-static solve, AC
-//! full-wave solve) — the per-sample cost that dominates both SSCM and MC.
+//! metal-plug structure (DC Newton, AC electro-quasi-static solve) — the
+//! per-sample cost that dominates both SSCM and MC.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use vaem_fvm::{CoupledSolver, EmMode, SolverOptions};
+use vaem_fvm::{CoupledSolver, SolverOptions};
 use vaem_mesh::structures::metalplug::{build_metalplug_structure, MetalPlugConfig};
 use vaem_physics::DopingProfile;
 
@@ -22,16 +22,6 @@ fn bench_coupled(c: &mut Criterion) {
 
     group.bench_function("ac_quasi_static_1ghz", |b| {
         let solver = CoupledSolver::new(&structure, &doping, SolverOptions::default()).unwrap();
-        let dc = solver.solve_dc().unwrap();
-        b.iter(|| solver.solve_ac(&dc, "plug1", 1.0e9).expect("ac"));
-    });
-
-    group.bench_function("ac_full_wave_1ghz", |b| {
-        let options = SolverOptions {
-            em_mode: EmMode::FullWave,
-            ..SolverOptions::default()
-        };
-        let solver = CoupledSolver::new(&structure, &doping, options).unwrap();
         let dc = solver.solve_dc().unwrap();
         b.iter(|| solver.solve_ac(&dc, "plug1", 1.0e9).expect("ac"));
     });

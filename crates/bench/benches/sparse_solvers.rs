@@ -56,7 +56,12 @@ fn bench_solvers(c: &mut Criterion) {
                 &(&a, &b),
                 |bench, (a, b)| {
                     let solver = LinearSolver::new(kind);
-                    bench.iter(|| solver.solve(a, b).expect("solve"));
+                    bench.iter(|| {
+                        solver
+                            .prepare(a)
+                            .and_then(|mut p| p.solve(b))
+                            .expect("solve")
+                    });
                 },
             );
         }
@@ -156,7 +161,12 @@ fn bench_seeded_crossover(c: &mut Criterion) {
             &(&a, &b),
             |bench, (a, b)| {
                 let solver = LinearSolver::new(SolverKind::Auto);
-                bench.iter(|| solver.solve(a, b).expect("cold auto solve"));
+                bench.iter(|| {
+                    solver
+                        .prepare(a)
+                        .and_then(|mut p| p.solve(b))
+                        .expect("cold auto solve")
+                });
             },
         );
     }

@@ -1,18 +1,24 @@
 //! The variational analysis workflow (nominal solve → weights → reduction →
 //! SSCM + Monte Carlo).
 //!
-//! The SSCM collocation points and the Monte-Carlo reference runs are
-//! independent deterministic solves; both stages fan out over
-//! [`vaem_parallel::par_map`] worker threads (`VAEM_THREADS`, hardware
-//! default). Every Monte-Carlo run draws from its own RNG stream seeded by
-//! `(config.seed, run index)`, so the results are bit-for-bit identical for
-//! any thread count.
+//! [`VariationalAnalysis::run`] and both frequency sweeps run on one engine
+//! with three parts: a nominal stage (the unperturbed problem, which also
+//! yields the wPFA weights), one per-sample evaluator (a DC solve, then one
+//! AC sweep operator walked over the wave's frequencies) and a wave that
+//! fans sample slots out over [`vaem_parallel::par_map_mut`] worker threads
+//! (`VAEM_THREADS`, hardware default) and contains their failures at the
+//! barrier. `run` is a one-point SSCM wave plus a one-point Monte-Carlo
+//! wave, a fixed sweep is one wave over its grid, and the adaptive sweep
+//! adds refinement waves. Every Monte-Carlo run draws from its own RNG
+//! stream seeded by `(config.seed, run index)`, so the results are
+//! bit-for-bit identical for any thread count.
 
 use crate::config::{AnalysisConfig, QuantitySet, ReductionMethod};
 use crate::health::{classify, HealthReport, QuarantinedSample, RecoveredSample, SampleStage};
 use crate::report::ComparisonTable;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,10 +31,10 @@ use vaem_numeric::dense::DMatrix;
 use vaem_numeric::stats::RunningStats;
 use vaem_numeric::NumericError;
 use vaem_parallel::faults::{self, FaultPlan, FaultSite, FaultStage};
-use vaem_parallel::{par_map, par_map_indices, par_map_mut};
+use vaem_parallel::par_map_mut;
 use vaem_physics::DopingProfile;
 use vaem_sparse::SolverKind;
-use vaem_stochastic::{SparseCollocation, SummaryStats};
+use vaem_stochastic::{PolynomialChaos, SparseCollocation, SummaryStats};
 use vaem_variation::{
     apply_roughness, covariance_matrix, standard_normal_vector, CorrelationKernel,
     FacetPerturbation, FullRankGaussian, Pfa, VariableReduction, Wpfa,
@@ -345,15 +351,80 @@ impl AdaptiveSweepResult {
     }
 }
 
-/// Persistent per-sample solver state of an adaptive sweep: the perturbed
-/// problem is built once and the DC operating point is solved once (first
-/// wave); every later refinement wave only re-prepares the AC sweep
-/// operator against the shared topology and pays a numeric refactorization
-/// plus a warm-started solve per new point.
-struct SampleState {
-    structure: Structure,
+/// Per-sample solver state: the perturbed problem and, once solved, its DC
+/// operating point. Single-wave flows drop it inside the worker; the
+/// adaptive sweep keeps it across its refinement waves, so a later wave
+/// only re-prepares the AC sweep operator against the shared topology and
+/// pays a numeric refactorization plus a warm-started solve per new point.
+struct SampleState<'s> {
+    structure: Cow<'s, Structure>,
     doping: DopingProfile,
     dc: Option<DcSolution>,
+}
+
+/// One sample of a wave fan-out: its state between waves and its
+/// containment status.
+#[derive(Default)]
+struct Slot {
+    /// Kept between waves only when the run keeps states.
+    state: Option<Box<SampleState<'static>>>,
+    /// Recovered by its retry: every later wave solves it with the recovery
+    /// solver at attempt 1, so it cannot oscillate between the fast path
+    /// and the rescue.
+    escalated: bool,
+    /// Failed its retry too: every later wave patches it without solving.
+    quarantined: bool,
+}
+
+impl Slot {
+    /// `count` fresh slots: no state, neither escalated nor quarantined.
+    fn fresh(count: usize) -> Vec<Self> {
+        std::iter::repeat_with(Self::default).take(count).collect()
+    }
+}
+
+/// Where the inputs of a wave's samples come from. A sample's input is a
+/// pure function of its index, derived where the sample is built, so no
+/// stage holds the inputs of all its samples at once.
+enum Draws<'a> {
+    /// The SSCM collocation points, expanded through the group reductions.
+    Collocation {
+        points: &'a [Vec<f64>],
+        groups: &'a [VariationGroup],
+        reductions: &'a [Box<dyn VariableReduction>],
+    },
+    /// Monte-Carlo runs: full-rank draws from each run's `(seed, run)`
+    /// stream.
+    MonteCarlo {
+        groups: &'a [VariationGroup],
+        samplers: &'a [FullRankGaussian],
+    },
+}
+
+impl Draws<'_> {
+    fn stage(&self) -> SampleStage {
+        match self {
+            Draws::Collocation { .. } => SampleStage::Sscm,
+            Draws::MonteCarlo { .. } => SampleStage::Mc,
+        }
+    }
+}
+
+/// What the stages of one run share: the perturbation-invariant solver
+/// topology, the fault plan, the two solver configurations of a sample
+/// and the containment record.
+struct WaveContext {
+    topology: Arc<SolverTopology>,
+    plan: Option<Arc<FaultPlan>>,
+    /// Options of a sample's first attempt (see
+    /// [`VariationalAnalysis::sample_solver_options`]).
+    sample: SolverOptions,
+    /// Options of the single recovery retry (see
+    /// [`VariationalAnalysis::recovery_solver_options`]).
+    recovery: SolverOptions,
+    /// Keep every sample's state between waves (adaptive sweeps only).
+    keep_states: bool,
+    health: HealthReport,
 }
 
 /// One grid point of the adaptive refinement loop (the bisection depth
@@ -367,6 +438,28 @@ struct PointRecord {
     mean: Vec<f64>,
     /// SSCM standard deviations, one per quantity.
     std: Vec<f64>,
+}
+
+impl PointRecord {
+    /// Point `k` of a wave whose nominal outputs and chaos models are
+    /// frequency-major, `n_q` per point.
+    fn new(
+        frequency: f64,
+        origin: PointOrigin,
+        k: usize,
+        n_q: usize,
+        nominal: &[f64],
+        pces: &[PolynomialChaos],
+    ) -> Self {
+        let pces = &pces[k * n_q..(k + 1) * n_q];
+        Self {
+            frequency,
+            origin,
+            nominal: nominal[k * n_q..(k + 1) * n_q].to_vec(),
+            mean: pces.iter().map(|p| p.mean()).collect(),
+            std: pces.iter().map(|p| p.std()).collect(),
+        }
+    }
 }
 
 /// Monotone interpolation coordinate of the refinement indicator:
@@ -438,6 +531,63 @@ fn flag_interval(flagged: &mut Vec<(usize, f64)>, left: usize, indicator: f64) {
     } else {
         flagged.push((left, indicator));
     }
+}
+
+/// The midpoints of the next refinement wave as `(frequency, depth)`,
+/// ascending in frequency: every interval the indicator flags is bisected
+/// unless it sits at the depth cap or its midpoint no longer separates the
+/// endpoints. When the point budget cannot hold them all, only the worst
+/// offenders are kept and `budget_exhausted` is set. Empty when nothing is
+/// left to split.
+fn refinement_midpoints(
+    grid: &[PointRecord],
+    options: &AdaptiveSweepOptions,
+    budget_exhausted: &mut bool,
+) -> Vec<(f64, usize)> {
+    let mut flagged: Vec<(usize, f64)> = Vec::new();
+    for i in 1..grid.len().saturating_sub(1) {
+        let indicator = refinement_indicator(&grid[i - 1], &grid[i], &grid[i + 1]);
+        if indicator > options.rel_tolerance {
+            flag_interval(&mut flagged, i - 1, indicator);
+            flag_interval(&mut flagged, i, indicator);
+        }
+    }
+    // (midpoint frequency, depth, indicator) per splittable interval.
+    let mut candidates: Vec<(f64, usize, f64)> = flagged
+        .into_iter()
+        .filter_map(|(left, indicator)| {
+            let (lo, hi) = (&grid[left], &grid[left + 1]);
+            let depth = lo.origin.depth().max(hi.origin.depth());
+            if depth >= options.max_depth {
+                return None;
+            }
+            let mid = midpoint_frequency(lo.frequency, hi.frequency);
+            // Floating-point exhaustion: the midpoint no longer separates
+            // the endpoints.
+            if !(mid > lo.frequency && mid < hi.frequency) {
+                return None;
+            }
+            Some((mid, depth + 1, indicator))
+        })
+        .collect();
+    let allowed = options.max_points.saturating_sub(grid.len());
+    if candidates.len() > allowed {
+        // Spend the remaining budget on the worst offenders.
+        *budget_exhausted = true;
+        candidates.sort_by(|a, b| {
+            b.2.partial_cmp(&a.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.total_cmp(&b.0))
+        });
+        candidates.truncate(allowed);
+    }
+    // Evaluate ascending in frequency: deterministic, and the warm starts
+    // walk the spectrum monotonically.
+    candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+    candidates
+        .into_iter()
+        .map(|(f, depth, _)| (f, depth))
+        .collect()
 }
 
 /// Per-group reductions plus their summaries.
@@ -533,7 +683,7 @@ impl VariationalAnalysis {
     }
 
     /// Evaluates the deterministic model for one realisation of the
-    /// variations.
+    /// variations at the configured frequency.
     ///
     /// `facet_offsets` maps facet names to per-node normal offsets;
     /// `doping_deltas` holds relative donor perturbations per node.
@@ -546,21 +696,23 @@ impl VariationalAnalysis {
         doping_deltas: &[(NodeId, f64)],
     ) -> Result<Vec<f64>, AnalysisError> {
         let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        self.evaluate_sample_with(
+        let mut state = self.sample_state(facet_offsets, doping_deltas)?;
+        self.evaluate_state(
             &topology,
-            facet_offsets,
-            doping_deltas,
-            self.sample_solver_options(),
+            &mut state,
+            &[self.config.frequency],
+            &self.sample_solver_options(),
+            None,
         )
     }
 
     /// Builds the perturbed structure and doping profile of one sample.
     // vaem-lint: cold per-sample problem construction (mesh, doping, topology)
-    fn sample_problem(
+    fn sample_state(
         &self,
         facet_offsets: &[(String, Vec<f64>)],
         doping_deltas: &[(NodeId, f64)],
-    ) -> Result<(Structure, DopingProfile), AnalysisError> {
+    ) -> Result<SampleState<'static>, AnalysisError> {
         if faults::armed(FaultSite::Mesh) {
             return Err(AnalysisError::Mesh(MeshError::DegenerateConfig {
                 detail: "injected fault at site 'mesh'".to_string(),
@@ -589,9 +741,20 @@ impl VariationalAnalysis {
             apply_roughness(&mut structure.mesh, model, &perturbations);
         }
 
-        // Perturbed doping.
-        let doping = self.nominal_doping().perturbed(doping_deltas);
-        Ok((structure, doping))
+        Ok(SampleState {
+            structure: Cow::Owned(structure),
+            doping: self.nominal_doping().perturbed(doping_deltas),
+            dc: None,
+        })
+    }
+
+    /// The nominal (unperturbed) problem, borrowing the analysed structure.
+    fn nominal_state(&self) -> SampleState<'_> {
+        SampleState {
+            structure: Cow::Borrowed(&self.structure),
+            doping: self.nominal_doping(),
+            dc: None,
+        }
     }
 
     /// Solver options for the perturbed-sample workers: identical to the
@@ -621,78 +784,55 @@ impl VariationalAnalysis {
         }
     }
 
-    /// [`VariationalAnalysis::evaluate_sample`] against a shared
-    /// [`SolverTopology`] (terminal labelling, adjacency and sparsity
-    /// patterns built once per analysis, not once per sample).
-    fn evaluate_sample_with(
-        &self,
-        topology: &Arc<SolverTopology>,
-        facet_offsets: &[(String, Vec<f64>)],
-        doping_deltas: &[(NodeId, f64)],
-        options: SolverOptions,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let (structure, doping) = self.sample_problem(facet_offsets, doping_deltas)?;
-        // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
-        let solver = CoupledSolver::with_topology(&structure, &doping, options, topology.clone())?;
-        let dc = solver.solve_dc()?;
-        self.extract_outputs(&solver, &dc)
+    /// The context of one run: a fresh shared topology, the `VAEM_FAULTS`
+    /// plan and an empty health report. `keep_states` keeps every sample's
+    /// state between waves (adaptive sweeps only).
+    fn wave_context(&self, keep_states: bool) -> Result<WaveContext, AnalysisError> {
+        Ok(WaveContext {
+            // Terminal labelling, adjacency and sparsity patterns are
+            // perturbation-invariant: build them once and share them
+            // read-only with every sample solver on every worker thread.
+            topology: Arc::new(SolverTopology::build(&self.structure)?),
+            plan: FaultPlan::from_env(),
+            sample: self.sample_solver_options(),
+            recovery: self.recovery_solver_options(),
+            keep_states,
+            health: HealthReport {
+                budget: self.config.quarantine_budget,
+                ..HealthReport::default()
+            },
+        })
     }
 
-    /// Evaluates one sample across a whole frequency grid with the
-    /// sweep-aware AC operator (one assembly + symbolic factorization, a
-    /// numeric refactorization per point, warm-started solves).
+    /// The per-sample evaluator of every stage: solves `state` over
+    /// `frequencies` with a fresh AC sweep operator — one
+    /// [`AcSweepOperator::solve_at`](vaem_fvm::AcSweepOperator::solve_at)
+    /// per point, each warm-started from the previous one — and returns the
+    /// configured quantities flattened frequency-major:
+    /// `[f0 q0, f0 q1, ..., f1 q0, ...]`. `weights`, when given, receives
+    /// the wPFA influence weights of the first point.
     ///
-    /// Returns the outputs flattened frequency-major:
-    /// `[f0 q0, f0 q1, ..., f1 q0, ...]`.
-    fn evaluate_spectrum_with(
-        &self,
-        topology: &Arc<SolverTopology>,
-        facet_offsets: &[(String, Vec<f64>)],
-        doping_deltas: &[(NodeId, f64)],
-        frequencies: &[f64],
-        options: SolverOptions,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let (structure, doping) = self.sample_problem(facet_offsets, doping_deltas)?;
-        // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
-        let solver = CoupledSolver::with_topology(&structure, &doping, options, topology.clone())?;
-        let dc = solver.solve_dc()?;
-        let mut operator = solver.prepare_ac_sweep(&dc)?;
-        let sweep = operator.sweep_terminal(frequencies, self.driven_terminal())?;
-        // vaem-lint: allow(H1) per-sample output buffer, sized once per evaluation
-        let mut out = Vec::with_capacity(frequencies.len() * self.config.quantities.len());
-        for ac in &sweep {
-            out.extend(self.extract_outputs_from(&solver, ac)?);
-        }
-        Ok(out)
-    }
-
-    /// Evaluates one persistent sample state over a list of frequencies
-    /// (one refinement wave): the DC operating point is solved on the first
-    /// call and cached; every call re-prepares the AC sweep operator
-    /// against the shared topology (seeded symbolic phase) and pays a
-    /// numeric refactorization plus a warm-started solve per point.
-    ///
-    /// Returns the outputs flattened frequency-major, like
-    /// [`VariationalAnalysis::evaluate_spectrum_with`]; for a fresh state
-    /// and the same grid the two paths produce bit-identical outputs.
+    /// The DC operating point is solved on the first call and cached on the
+    /// state; a failed DC solve leaves the cache empty, so a retry
+    /// re-solves it instead of trusting a poisoned operating point.
     fn evaluate_state(
         &self,
         topology: &Arc<SolverTopology>,
-        state: &mut SampleState,
+        state: &mut SampleState<'_>,
         frequencies: &[f64],
-        options: SolverOptions,
+        options: &SolverOptions,
+        mut weights: Option<&mut Vec<f64>>,
     ) -> Result<Vec<f64>, AnalysisError> {
         let solver = CoupledSolver::with_topology(
             &state.structure,
             &state.doping,
-            options,
+            // vaem-lint: allow(H2) small solver-options struct copied once per evaluation
+            options.clone(),
             // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
             topology.clone(),
         )?;
         // Take the cached DC operating point (solving it on the first call)
-        // and put it back once the sweep operator holds its own data; a
-        // failed DC solve leaves the cache empty, so a recovery retry
-        // re-solves instead of trusting a poisoned operating point.
+        // and put it back once the sweep operator holds its own data.
         let dc = match state.dc.take() {
             Some(dc) => dc,
             None => solver.solve_dc()?,
@@ -704,110 +844,200 @@ impl VariationalAnalysis {
         let mut out = Vec::with_capacity(frequencies.len() * self.config.quantities.len());
         for &frequency in frequencies {
             let ac = operator.solve_at(frequency, self.driven_terminal())?;
+            if let Some(weights) = weights.take() {
+                *weights = self.nominal_weights(&ac);
+            }
             out.extend(self.extract_outputs_from(&solver, &ac)?);
         }
         Ok(out)
     }
 
-    /// Installs the fault-injection scope for one per-sample evaluation
-    /// when a plan is active (`None` plan → no scope, zero overhead). The
-    /// guard is created inside the worker closure keyed by the sample
-    /// index, so injection is independent of worker timing.
+    /// Installs the fault-injection scope for one evaluation when a plan is
+    /// active (`None` plan → no scope, zero overhead). The scope is keyed
+    /// by `(stage, index, attempt)` and created where the evaluation runs,
+    /// so injection is independent of worker timing.
     fn fault_scope(
         plan: &Option<Arc<FaultPlan>>,
-        stage: FaultStage,
+        stage: SampleStage,
         index: usize,
         attempt: u32,
     ) -> Option<faults::ScopeGuard> {
+        let stage = match stage {
+            SampleStage::Nominal => FaultStage::Nominal,
+            SampleStage::Sscm => FaultStage::Sscm,
+            SampleStage::Mc => FaultStage::Mc,
+        };
         plan.as_ref()
             // vaem-lint: allow(H2) Arc refcount bump installing the fault scope
             .map(|p| faults::scope(p.clone(), stage, index, attempt))
     }
 
-    /// Runs the nominal evaluation with containment: one recovery retry
-    /// with the escalated solver options on failure. A nominal failure that
-    /// survives the retry is fatal — every downstream stage (weights,
-    /// reduction, quarantine patching) needs the nominal solution.
-    fn contain_nominal<T>(
+    /// The nominal stage of one wave: the unperturbed problem over
+    /// `frequencies`, through the per-sample evaluator. The first wave
+    /// (no cached DC yet) solves with the configured options, so the
+    /// nominal publishes the donor factorizations before any sample runs,
+    /// and fills `weights` from its first point; later waves reuse the
+    /// cached DC under the non-publishing sample options.
+    ///
+    /// A failure gets one recovery retry, which re-solves the DC unless an
+    /// earlier wave cached it. A nominal that fails the retry too fails the
+    /// run: every downstream stage (weights, reduction, quarantine
+    /// patching) needs it.
+    fn nominal_stage(
         &self,
-        health: &mut HealthReport,
-        plan: &Option<Arc<FaultPlan>>,
-        first_options: SolverOptions,
-        mut eval: impl FnMut(SolverOptions) -> Result<T, AnalysisError>,
-    ) -> Result<T, AnalysisError> {
-        let first = {
-            let _guard = Self::fault_scope(plan, FaultStage::Nominal, 0, 0);
-            eval(first_options)
+        ctx: &mut WaveContext,
+        state: &mut SampleState<'_>,
+        frequencies: &[f64],
+        mut weights: Option<&mut Vec<f64>>,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let first_wave = state.dc.is_none();
+        let options = if first_wave {
+            &self.config.solver
+        } else {
+            &ctx.sample
         };
-        match first {
-            Ok(value) => Ok(value),
-            Err(first) => {
-                let kind = classify(&first);
-                health.counts.record(kind);
-                let retry = {
-                    let _guard = Self::fault_scope(plan, FaultStage::Nominal, 0, 1);
-                    eval(self.recovery_solver_options())
-                };
-                match retry {
-                    Ok(value) => {
-                        health.recovered.push(RecoveredSample {
-                            stage: SampleStage::Nominal,
-                            index: 0,
-                            kind,
-                        });
-                        Ok(value)
-                    }
-                    Err(second) => Err(second),
-                }
-            }
+        let first = {
+            let _guard = Self::fault_scope(&ctx.plan, SampleStage::Nominal, 0, 0);
+            self.evaluate_state(
+                &ctx.topology,
+                state,
+                frequencies,
+                options,
+                weights.as_deref_mut(),
+            )
+        };
+        let kind = match first {
+            Ok(outputs) => return Ok(outputs),
+            Err(error) => classify(&error),
+        };
+        ctx.health.counts.record(kind);
+        if first_wave {
+            state.dc = None;
         }
+        let outputs = {
+            let _guard = Self::fault_scope(&ctx.plan, SampleStage::Nominal, 0, 1);
+            self.evaluate_state(&ctx.topology, state, frequencies, &ctx.recovery, weights)?
+        };
+        ctx.health.recovered.push(RecoveredSample {
+            stage: SampleStage::Nominal,
+            index: 0,
+            kind,
+        });
+        Ok(outputs)
     }
 
-    /// Resolves one fan-out's per-sample outcomes at its deterministic
-    /// barrier: every failed sample gets a single serial recovery retry
-    /// (the `retry` closure — escalated solver, fresh fault scope at
-    /// attempt 1); samples whose retry also fails are quarantined and
-    /// yield `None`. Quarantines, recoveries and taxonomy counts land on
-    /// `health` in ascending sample order — never in worker-timing order —
-    /// so the report is bit-identical for any thread count.
-    fn contain_stage(
-        health: &mut HealthReport,
-        stage: SampleStage,
-        attempts: Vec<Result<Vec<f64>, AnalysisError>>,
-        mut retry: impl FnMut(usize) -> Result<Vec<f64>, AnalysisError>,
-    ) -> Vec<Option<Vec<f64>>> {
-        attempts
-            .into_iter()
-            .enumerate()
-            .map(|(index, attempt)| match attempt {
-                Ok(outputs) => Some(outputs),
+    /// One wave of a stage: fans `slots` out over the `vaem_parallel`
+    /// workers, every sample evaluated over `frequencies`, and resolves the
+    /// failures at the deterministic barrier. A failed sample gets one
+    /// serial recovery retry with the recovery solver at attempt 1 —
+    /// against its kept state, cached DC included, when the run keeps
+    /// states, from a rebuilt problem otherwise — and is escalated when the
+    /// retry succeeds; a sample whose retry fails too is quarantined.
+    /// Recoveries, quarantines and taxonomy counts land on the health
+    /// report in ascending sample order, never in worker-timing order, so
+    /// the report is bit-identical for any thread count. The quarantine
+    /// budget is checked at the barrier.
+    ///
+    /// Returns the outputs in slot order. A quarantined sample is patched
+    /// with `nominal` when it is given — the sparse-grid quadrature needs a
+    /// value at every point, and the nominal is the unbiased deterministic
+    /// stand-in — and dropped otherwise, as a Monte-Carlo draw is: patching
+    /// would bias the reference statistics toward the nominal.
+    fn wave(
+        &self,
+        ctx: &mut WaveContext,
+        draws: &Draws<'_>,
+        slots: &mut [Slot],
+        frequencies: &[f64],
+        nominal: Option<&[f64]>,
+    ) -> Result<Vec<Vec<f64>>, AnalysisError> {
+        let stage = draws.stage();
+        let attempts = {
+            let ctx = &*ctx;
+            par_map_mut(slots, |index, slot| {
+                if slot.quarantined {
+                    return Ok(None);
+                }
+                let attempt = u32::from(slot.escalated);
+                let _guard = Self::fault_scope(&ctx.plan, stage, index, attempt);
+                let options = if slot.escalated {
+                    &ctx.recovery
+                } else {
+                    &ctx.sample
+                };
+                self.evaluate_slot(ctx, draws, index, slot, frequencies, options)
+                    .map(Some)
+            })
+        };
+        let mut outputs = Vec::with_capacity(slots.len());
+        for (index, (attempt, slot)) in attempts.into_iter().zip(slots.iter_mut()).enumerate() {
+            let sample = match attempt {
+                Ok(sample) => sample,
                 Err(first) => {
                     let kind = classify(&first);
-                    health.counts.record(kind);
-                    match retry(index) {
-                        Ok(outputs) => {
-                            health
+                    ctx.health.counts.record(kind);
+                    let retry = {
+                        let _guard = Self::fault_scope(&ctx.plan, stage, index, 1);
+                        self.evaluate_slot(ctx, draws, index, slot, frequencies, &ctx.recovery)
+                    };
+                    match retry {
+                        Ok(sample) => {
+                            ctx.health
                                 .recovered
                                 .push(RecoveredSample { stage, index, kind });
-                            Some(outputs)
+                            slot.escalated = true;
+                            Some(sample)
                         }
                         Err(second) => {
-                            health.quarantined.push(QuarantinedSample {
+                            ctx.health.quarantined.push(QuarantinedSample {
                                 stage,
                                 index,
                                 kind: classify(&second),
                                 detail: second.to_string(),
                             });
+                            slot.quarantined = true;
                             None
                         }
                     }
                 }
-            })
-            .collect()
+            };
+            if let Some(sample) = sample.or_else(|| nominal.map(<[f64]>::to_vec)) {
+                outputs.push(sample);
+            }
+        }
+        self.check_quarantine_budget(&ctx.health)?;
+        Ok(outputs)
+    }
+
+    /// Evaluates sample `index`: builds its perturbed problem unless its
+    /// slot kept a state from an earlier attempt, and keeps the state only
+    /// when the run keeps states.
+    fn evaluate_slot(
+        &self,
+        ctx: &WaveContext,
+        draws: &Draws<'_>,
+        index: usize,
+        slot: &mut Slot,
+        frequencies: &[f64],
+        options: &SolverOptions,
+    ) -> Result<Vec<f64>, AnalysisError> {
+        let mut state = match slot.state.take() {
+            Some(state) => *state,
+            None => {
+                let input = self.sample_input(draws, index);
+                self.sample_state(&input.facet_offsets, &input.doping_deltas)?
+            }
+        };
+        let outputs = self.evaluate_state(&ctx.topology, &mut state, frequencies, options, None);
+        if ctx.keep_states {
+            // vaem-lint: allow(H1) boxes a kept sample state once per wave, adaptive sweeps only; slots of single-wave flows stay small
+            slot.state = Some(Box::new(state));
+        }
+        outputs
     }
 
     /// Fails the run once the quarantine count exceeds the configured
-    /// fraction of the attempted samples. Checked at the stage barriers —
+    /// fraction of the attempted samples. Checked at every wave barrier —
     /// quarantine counts only grow, so the first check that trips aborts.
     fn check_quarantine_budget(&self, health: &HealthReport) -> Result<(), AnalysisError> {
         let quarantined = health.quarantined.len();
@@ -819,157 +1049,6 @@ impl VariationalAnalysis {
                 budget: self.config.quarantine_budget,
             });
         }
-        Ok(())
-    }
-
-    /// [`VariationalAnalysis::contain_stage`] for one adaptive-sweep wave:
-    /// failed samples get their serial recovery retry against the
-    /// persistent [`SampleState`] and are **escalated** — all later waves
-    /// evaluate them with the recovery solver at attempt 1, so a recovered
-    /// sample cannot oscillate between the fast path and the rescue.
-    /// Samples whose retry also fails are quarantined: this wave's outputs
-    /// are patched with the nominal spectrum (`nominal_wave`) and later
-    /// waves fast-path them without solving.
-    #[allow(clippy::too_many_arguments)]
-    fn contain_wave(
-        &self,
-        health: &mut HealthReport,
-        plan: &Option<Arc<FaultPlan>>,
-        topology: &Arc<SolverTopology>,
-        states: &mut [SampleState],
-        escalated: &mut [bool],
-        quarantined: &mut [bool],
-        wave_freqs: &[f64],
-        nominal_wave: &[f64],
-        attempts: Vec<Result<Vec<f64>, AnalysisError>>,
-    ) -> Vec<Vec<f64>> {
-        attempts
-            .into_iter()
-            .enumerate()
-            .map(|(i, attempt)| match attempt {
-                Ok(outputs) => outputs,
-                Err(first) => {
-                    let kind = classify(&first);
-                    health.counts.record(kind);
-                    // The failed attempt may have consumed the cached DC
-                    // operating point; `evaluate_state` re-solves it then.
-                    let retry = {
-                        let _guard = Self::fault_scope(plan, FaultStage::Sscm, i, 1);
-                        self.evaluate_state(
-                            topology,
-                            &mut states[i],
-                            wave_freqs,
-                            self.recovery_solver_options(),
-                        )
-                    };
-                    match retry {
-                        Ok(outputs) => {
-                            health.recovered.push(RecoveredSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind,
-                            });
-                            escalated[i] = true;
-                            outputs
-                        }
-                        Err(second) => {
-                            health.quarantined.push(QuarantinedSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind: classify(&second),
-                                detail: second.to_string(),
-                            });
-                            quarantined[i] = true;
-                            nominal_wave.to_vec()
-                        }
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Squared magnitude of one sample's variation inputs — the
-    /// deterministic "how far from nominal" measure used to pick the donor
-    /// republishing representative.
-    fn excursion_magnitude(input: &SampleInput) -> f64 {
-        let geometry: f64 = input
-            .facet_offsets
-            .iter()
-            .flat_map(|(_, offsets)| offsets.iter())
-            .map(|x| x * x)
-            .sum();
-        let doping: f64 = input.doping_deltas.iter().map(|(_, d)| d * d).sum();
-        geometry + doping
-    }
-
-    /// The collocation input with the widest excursion (strictly greatest
-    /// magnitude wins, earliest index breaks ties) — deterministic in the
-    /// input order, never in worker timing.
-    fn widest_excursion(inputs: &[SampleInput]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (i, input) in inputs.iter().enumerate() {
-            let magnitude = Self::excursion_magnitude(input);
-            if best.is_none_or(|(_, b)| magnitude > b) {
-                best = Some((i, magnitude));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    /// Re-solves one representative sample with publishing enabled so that
-    /// donor slots cleared by the refresh policy are refilled with pivot
-    /// structures recorded from the current excursion, with the AC donor
-    /// recorded at `ac_frequency` — the operating point the upcoming stage
-    /// actually solves at, not the (documented-as-unused) single-point
-    /// configuration frequency. Called only at deterministic barriers
-    /// (between sweep stages / refinement waves), never from worker
-    /// threads.
-    fn republish_donors_from(
-        &self,
-        topology: &Arc<SolverTopology>,
-        input: &SampleInput,
-        ac_frequency: f64,
-    ) -> Result<(), AnalysisError> {
-        let (structure, doping) =
-            self.sample_problem(&input.facet_offsets, &input.doping_deltas)?;
-        let solver = CoupledSolver::with_topology(
-            &structure,
-            &doping,
-            self.config.solver.clone(),
-            topology.clone(),
-        )?;
-        let dc = solver.solve_dc()?;
-        // One AC prepare republishes the AC donor alongside the DC one.
-        let _ = solver.prepare_ac(&dc, ac_frequency)?;
-        Ok(())
-    }
-
-    /// [`VariationalAnalysis::republish_donors_from`] against an adaptive
-    /// sweep's persistent [`SampleState`]: the state's cached DC operating
-    /// point is reused (solved only if a prior wave has not already), so a
-    /// mid-refinement AC-donor refresh costs one AC prepare instead of a
-    /// full Newton solve.
-    fn republish_ac_donor_from_state(
-        &self,
-        topology: &Arc<SolverTopology>,
-        state: &mut SampleState,
-        ac_frequency: f64,
-    ) -> Result<(), AnalysisError> {
-        let solver = CoupledSolver::with_topology(
-            &state.structure,
-            &state.doping,
-            self.config.solver.clone(),
-            topology.clone(),
-        )?;
-        // Same take/put-back as `evaluate_state`: no panic path, and a
-        // failed solve leaves the cache empty for the next attempt.
-        let dc = match state.dc.take() {
-            Some(dc) => dc,
-            None => solver.solve_dc()?,
-        };
-        let prepared = solver.prepare_ac(&dc, ac_frequency);
-        state.dc = Some(dc);
-        let _ = prepared?;
         Ok(())
     }
 
@@ -1027,15 +1106,6 @@ impl VariationalAnalysis {
             QuantitySet::InterfaceCurrent { terminal } => terminal,
             QuantitySet::CapacitanceColumn { driven, .. } => driven,
         }
-    }
-
-    fn extract_outputs(
-        &self,
-        solver: &CoupledSolver<'_>,
-        dc: &DcSolution,
-    ) -> Result<Vec<f64>, AnalysisError> {
-        let ac = solver.solve_ac(dc, self.driven_terminal(), self.config.frequency)?;
-        self.extract_outputs_from(solver, &ac)
     }
 
     /// Reads the configured quantities off an already-solved AC solution
@@ -1233,7 +1303,8 @@ impl VariationalAnalysis {
 
     /// Influence weights of every node, from the nominal AC solution
     /// (w_i = |J⁰_i|·nodeVol_i, the paper's eq. 9).
-    fn nominal_weights(&self, ac: &AcSolution) -> Result<Vec<f64>, AnalysisError> {
+    // vaem-lint: cold wPFA weights of the nominal's first point, once per run
+    fn nominal_weights(&self, ac: &AcSolution) -> Vec<f64> {
         let mesh = &self.structure.mesh;
         let mut weights = vec![0.0_f64; mesh.node_count()];
         let mut area_acc = vec![0.0_f64; mesh.node_count()];
@@ -1257,7 +1328,7 @@ impl VariationalAnalysis {
             };
             weights[i] = density * mesh.node_volume(node);
         }
-        Ok(weights)
+        weights
     }
 
     /// Builds the per-group reduction with the configured method.
@@ -1342,23 +1413,23 @@ impl VariationalAnalysis {
         Ok((reductions, reduction_summary))
     }
 
-    /// Expands every collocation point into its sample inputs (cheap,
-    /// serial; the deterministic solves fan out afterwards).
-    fn collocation_inputs(
-        &self,
-        sscm: &SparseCollocation,
-        groups: &[VariationGroup],
-        reductions: &[Box<dyn VariableReduction>],
-    ) -> Vec<SampleInput> {
-        sscm.points()
-            .iter()
-            .map(|point| {
-                let mut input = SampleInput::default();
+    /// The variation inputs of sample `index` of `draws`: a collocation
+    /// point expanded through the group reductions, or a Monte-Carlo run's
+    /// full-rank draw of every group from its own `(seed, run)` stream —
+    /// either way a pure function of the index, whatever the thread count.
+    // vaem-lint: cold per-sample input expansion, once per sample
+    fn sample_input(&self, draws: &Draws<'_>, index: usize) -> SampleInput {
+        let mut input = SampleInput::default();
+        match draws {
+            Draws::Collocation {
+                points,
+                groups,
+                reductions,
+            } => {
                 let mut offset = 0;
                 for (group, reduction) in groups.iter().zip(reductions.iter()) {
                     let d = reduction.reduced_dim();
-                    let zeta = &point[offset..offset + d];
-                    let xi = reduction.expand(zeta);
+                    let xi = reduction.expand(&points[index][offset..offset + d]);
                     self.group_sample(
                         group,
                         &xi,
@@ -1367,175 +1438,93 @@ impl VariationalAnalysis {
                     );
                     offset += d;
                 }
-                input
-            })
-            .collect()
-    }
-
-    /// Runs the complete workflow: nominal solve, wPFA/PFA reduction, SSCM
-    /// and the Monte-Carlo reference.
-    ///
-    /// # Errors
-    /// Propagates solver, reduction and fitting failures.
-    pub fn run(&self) -> Result<AnalysisResult, AnalysisError> {
-        let groups = self.build_groups()?;
-        // Terminal labelling, adjacency and sparsity patterns are
-        // perturbation-invariant: build them once and share them read-only
-        // with every sample solver on every worker thread.
-        let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        let plan = FaultPlan::from_env();
-        let mut health = HealthReport {
-            budget: self.config.quarantine_budget,
-            ..HealthReport::default()
-        };
-
-        // --- Nominal solve (also provides the wPFA weights). One AC solve
-        // covers both the nominal outputs and the influence weights.
-        let sscm_start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        let nominal_doping = self.nominal_doping();
-        let (nominal_outputs, node_weights) =
-            self.contain_nominal(&mut health, &plan, self.config.solver.clone(), |options| {
-                let nominal_solver = CoupledSolver::with_topology(
-                    &self.structure,
-                    &nominal_doping,
-                    options,
-                    topology.clone(),
-                )?;
-                let nominal_dc = nominal_solver.solve_dc()?;
-                let nominal_ac = nominal_solver.solve_ac(
-                    &nominal_dc,
-                    self.driven_terminal(),
-                    self.config.frequency,
-                )?;
-                let outputs = self.extract_outputs_from(&nominal_solver, &nominal_ac)?;
-                let weights = self.nominal_weights(&nominal_ac)?;
-                Ok((outputs, weights))
-            })?;
-
-        // --- Variable reduction. ---
-        let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
-        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
-
-        // --- SSCM stage: fan the independent deterministic solves out over
-        // the worker threads.
-        let sscm = SparseCollocation::new(total_dim);
-        let sample_inputs = self.collocation_inputs(&sscm, &groups, &reductions);
-        health.samples_total = 1 + sample_inputs.len() + self.config.mc_runs;
-        let sample_options = self.sample_solver_options();
-        let attempts: Vec<Result<Vec<f64>, AnalysisError>> = par_map(&sample_inputs, |i, input| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 0);
-            self.evaluate_sample_with(
-                &topology,
-                &input.facet_offsets,
-                &input.doping_deltas,
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                sample_options.clone(),
-            )
-        });
-        let contained = Self::contain_stage(&mut health, SampleStage::Sscm, attempts, |i| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 1);
-            self.evaluate_sample_with(
-                &topology,
-                &sample_inputs[i].facet_offsets,
-                &sample_inputs[i].doping_deltas,
-                self.recovery_solver_options(),
-            )
-        });
-        self.check_quarantine_budget(&health)?;
-        // Quarantined collocation points are patched with the nominal
-        // outputs: the sparse-grid quadrature needs a value at every point,
-        // and the nominal is the unbiased deterministic stand-in.
-        let outputs: Vec<Vec<f64>> = contained
-            .into_iter()
-            .map(|sample| sample.unwrap_or_else(|| nominal_outputs.clone()))
-            .collect();
-        let pces = sscm.fit(&outputs)?;
-        let sscm_seconds = sscm_start.elapsed().as_secs_f64();
-
-        // --- Donor refresh barrier: if the SSCM fan-out re-pivoted often
-        // enough that the nominal donor is evidently stale for this
-        // parameter spread, drop it and republish from the widest
-        // collocation excursion before the Monte-Carlo fan-out. The
-        // decision runs at this single-threaded barrier on counters that
-        // are sums of per-sample deterministic counts, so neither the
-        // decision nor the new donor depends on worker timing.
-        if self.config.solver.reuse_symbolic {
-            let rate = self.config.solver.donor_refresh_stale_rate;
-            let dc_cleared = topology.clear_dc_donor_if_stale(rate);
-            let ac_cleared = topology.clear_ac_donor_if_stale(rate);
-            if dc_cleared || ac_cleared {
-                if let Some(widest) = Self::widest_excursion(&sample_inputs) {
-                    // The MC stage solves at the configured single-point
-                    // frequency, so that is where the new AC donor is
-                    // recorded. Republishing is an optimization: a failure
-                    // here only costs later samples their warm seed, so it
-                    // is counted and contained, never fatal.
-                    if let Err(error) = self.republish_donors_from(
-                        &topology,
-                        &sample_inputs[widest],
-                        self.config.frequency,
-                    ) {
-                        health.counts.record(classify(&error));
-                    }
+            }
+            Draws::MonteCarlo { groups, samplers } => {
+                let mut rng = StdRng::seed_from_u64(mc_run_seed(self.config.seed, index as u64));
+                for (group, sampler) in groups.iter().zip(samplers.iter()) {
+                    let z = standard_normal_vector(&mut rng, sampler.reduced_dim());
+                    let xi = sampler.expand(&z);
+                    self.group_sample(
+                        group,
+                        &xi,
+                        &mut input.facet_offsets,
+                        &mut input.doping_deltas,
+                    );
                 }
             }
         }
+        input
+    }
 
-        // --- Monte-Carlo reference (full-rank sampling of every group).
-        // Each run draws from its own `(seed, run)` stream, so the sweep is
-        // deterministic for any thread count.
+    /// Runs the complete workflow at the configured frequency: nominal
+    /// solve, wPFA/PFA reduction, SSCM and the Monte-Carlo reference.
+    ///
+    /// Every stage goes through the same engine as the frequency sweeps: a
+    /// one-point nominal stage, a one-point SSCM wave and a one-point
+    /// Monte-Carlo wave, each fanned out over the `vaem_parallel` workers
+    /// with one recovery retry per failed sample. The results are
+    /// bit-identical for any `VAEM_THREADS` value, and to a one-point
+    /// [`VariationalAnalysis::run_frequency_sweep`].
+    ///
+    /// # Errors
+    /// Propagates solver, reduction and fitting failures, a nominal that
+    /// fails its recovery retry, and more quarantined samples than
+    /// [`AnalysisConfig::quarantine_budget`] tolerates.
+    pub fn run(&self) -> Result<AnalysisResult, AnalysisError> {
+        let groups = self.build_groups()?;
+        let mut ctx = self.wave_context(false)?;
+        let frequency = [self.config.frequency];
+
+        // --- Nominal solve: the nominal outputs and the wPFA weights. ---
+        let sscm_start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
+        let mut node_weights = Vec::new();
+        let nominal_outputs = self.nominal_stage(
+            &mut ctx,
+            &mut self.nominal_state(),
+            &frequency,
+            Some(&mut node_weights),
+        )?;
+
+        // --- Variable reduction and the SSCM wave. ---
+        let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
+        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
+        let sscm = SparseCollocation::new(total_dim);
+        let draws = Draws::Collocation {
+            points: sscm.points(),
+            groups: &groups,
+            reductions: &reductions,
+        };
+        ctx.health.samples_total = 1 + sscm.run_count() + self.config.mc_runs;
+        let outputs = self.wave(
+            &mut ctx,
+            &draws,
+            &mut Slot::fresh(sscm.run_count()),
+            &frequency,
+            Some(&nominal_outputs),
+        )?;
+        let pces = sscm.fit(&outputs)?;
+        let sscm_seconds = sscm_start.elapsed().as_secs_f64();
+
+        // --- Monte-Carlo reference (full-rank sampling of every group). ---
         let mc_start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        let full_rank: Vec<FullRankGaussian> = groups
+        let samplers: Vec<FullRankGaussian> = groups
             .iter()
             .map(|g| FullRankGaussian::new(&g.covariance))
             .collect::<Result<_, _>>()?;
-        let n_outputs = self.config.quantities.len();
-        // The run → input map is a pure function of `(seed, run)`, so the
-        // recovery retry can re-derive a failed run's draw exactly.
-        let mc_input = |run: usize| {
-            let mut rng = StdRng::seed_from_u64(mc_run_seed(self.config.seed, run as u64));
-            let mut input = SampleInput::default();
-            for (group, sampler) in groups.iter().zip(full_rank.iter()) {
-                let z = standard_normal_vector(&mut rng, sampler.reduced_dim());
-                let xi = sampler.expand(&z);
-                self.group_sample(
-                    group,
-                    &xi,
-                    &mut input.facet_offsets,
-                    &mut input.doping_deltas,
-                );
-            }
-            input
+        let draws = Draws::MonteCarlo {
+            groups: &groups,
+            samplers: &samplers,
         };
-        let mc_attempts: Vec<Result<Vec<f64>, AnalysisError>> =
-            par_map_indices(self.config.mc_runs, |run| {
-                let _guard = Self::fault_scope(&plan, FaultStage::Mc, run, 0);
-                let input = mc_input(run);
-                self.evaluate_sample_with(
-                    &topology,
-                    &input.facet_offsets,
-                    &input.doping_deltas,
-                    // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                    sample_options.clone(),
-                )
-            });
-        let mc_contained = Self::contain_stage(&mut health, SampleStage::Mc, mc_attempts, |run| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Mc, run, 1);
-            let input = mc_input(run);
-            self.evaluate_sample_with(
-                &topology,
-                &input.facet_offsets,
-                &input.doping_deltas,
-                self.recovery_solver_options(),
-            )
-        });
-        self.check_quarantine_budget(&health)?;
-        // Quarantined MC runs are dropped: the reference statistics
-        // tolerate a missing draw, while patching would bias them toward
-        // the nominal.
-        let mut mc_stats = vec![RunningStats::new(); n_outputs];
-        for sample in mc_contained.iter().flatten() {
-            for (acc, v) in mc_stats.iter_mut().zip(sample.iter()) {
+        let mc_outputs = self.wave(
+            &mut ctx,
+            &draws,
+            &mut Slot::fresh(self.config.mc_runs),
+            &frequency,
+            None,
+        )?;
+        let mut mc_stats = vec![RunningStats::new(); self.config.quantities.len()];
+        for sample in &mc_outputs {
+            for (acc, v) in mc_stats.iter_mut().zip(sample) {
                 acc.push(*v);
             }
         }
@@ -1562,8 +1551,8 @@ impl VariationalAnalysis {
             mc_runs: self.config.mc_runs,
             sscm_seconds,
             mc_seconds,
-            seed_reuse: topology.seed_stats(),
-            health,
+            seed_reuse: ctx.topology.seed_stats(),
+            health: ctx.health,
         })
     }
 
@@ -1572,11 +1561,12 @@ impl VariationalAnalysis {
     /// grid (capacitance / interface-current spectra), and a polynomial
     /// chaos expansion is fitted per (frequency, quantity) pair.
     ///
-    /// Every sample performs one DC solve and one
-    /// [`AcSweepOperator::sweep_terminal`](vaem_fvm::AcSweepOperator) pass —
-    /// one AC assembly and one symbolic factorization for the whole grid,
-    /// a numeric refactorization and a warm-started solve per point — and
-    /// the samples fan out over the `vaem_parallel` worker threads, so the
+    /// This is the first wave of
+    /// [`VariationalAnalysis::run_adaptive_frequency_sweep`] without the
+    /// refinement: every sample performs one DC solve and walks the grid
+    /// with one AC sweep operator — a numeric refactorization and a
+    /// warm-started solve per point — and drops its state once done. The
+    /// samples fan out over the `vaem_parallel` worker threads, so the
     /// spectra are bit-identical for any `VAEM_THREADS` value.
     ///
     /// The wPFA influence weights are taken from the first grid point; the
@@ -1586,115 +1576,14 @@ impl VariationalAnalysis {
     /// Propagates solver, reduction and fitting failures; a non-finite or
     /// negative grid entry is a configuration error. An empty grid returns
     /// a well-formed zero-point result (no solves run), and a single-point
-    /// grid degenerates to the single-frequency analysis.
+    /// grid reproduces [`VariationalAnalysis::run`] at that frequency bit
+    /// for bit.
     pub fn run_frequency_sweep(
         &self,
         frequencies: &[f64],
     ) -> Result<FrequencySweepResult, AnalysisError> {
         self.validate_grid(frequencies)?;
-        let start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        if frequencies.is_empty() {
-            return Ok(self.empty_sweep_result(start));
-        }
-        let groups = self.build_groups()?;
-        let topology = Arc::new(SolverTopology::build(&self.structure)?);
-        let plan = FaultPlan::from_env();
-        let mut health = HealthReport {
-            budget: self.config.quarantine_budget,
-            ..HealthReport::default()
-        };
-
-        // --- Nominal sweep: provides the per-frequency nominal outputs and
-        // the wPFA weights (from the first grid point).
-        let nominal_doping = self.nominal_doping();
-        let (nominal_flat, node_weights) =
-            self.contain_nominal(&mut health, &plan, self.config.solver.clone(), |options| {
-                let nominal_solver = CoupledSolver::with_topology(
-                    &self.structure,
-                    &nominal_doping,
-                    options,
-                    topology.clone(),
-                )?;
-                let nominal_dc = nominal_solver.solve_dc()?;
-                let mut nominal_operator = nominal_solver.prepare_ac_sweep(&nominal_dc)?;
-                let nominal_sweep =
-                    nominal_operator.sweep_terminal(frequencies, self.driven_terminal())?;
-                let node_weights = self.nominal_weights(&nominal_sweep[0])?;
-                let mut nominal_flat =
-                    Vec::with_capacity(frequencies.len() * self.config.quantities.len());
-                for ac in &nominal_sweep {
-                    nominal_flat.extend(self.extract_outputs_from(&nominal_solver, ac)?);
-                }
-                Ok((nominal_flat, node_weights))
-            })?;
-
-        // --- Reduction + collocation over the spectra: the PCE machinery is
-        // output-agnostic, so the per-frequency quantities are fitted as one
-        // flat (frequency-major) output vector per sample.
-        let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
-        let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
-        let sscm = SparseCollocation::new(total_dim);
-        let sample_inputs = self.collocation_inputs(&sscm, &groups, &reductions);
-        health.samples_total = 1 + sample_inputs.len();
-        let sample_options = self.sample_solver_options();
-        let attempts: Vec<Result<Vec<f64>, AnalysisError>> = par_map(&sample_inputs, |i, input| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 0);
-            self.evaluate_spectrum_with(
-                &topology,
-                &input.facet_offsets,
-                &input.doping_deltas,
-                frequencies,
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                sample_options.clone(),
-            )
-        });
-        let contained = Self::contain_stage(&mut health, SampleStage::Sscm, attempts, |i| {
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 1);
-            self.evaluate_spectrum_with(
-                &topology,
-                &sample_inputs[i].facet_offsets,
-                &sample_inputs[i].doping_deltas,
-                frequencies,
-                self.recovery_solver_options(),
-            )
-        });
-        self.check_quarantine_budget(&health)?;
-        // Quarantined samples contribute the nominal spectrum, keeping the
-        // per-point quadrature well-defined (see `run`).
-        let outputs: Vec<Vec<f64>> = contained
-            .into_iter()
-            .map(|sample| sample.unwrap_or_else(|| nominal_flat.clone()))
-            .collect();
-        let pces = sscm.fit(&outputs)?;
-
-        let labels = self.config.quantities.labels();
-        let n_q = labels.len();
-        let quantities = labels
-            .into_iter()
-            .enumerate()
-            .map(|(q, label)| SweepQuantity {
-                label,
-                nominal: (0..frequencies.len())
-                    .map(|fi| nominal_flat[fi * n_q + q])
-                    .collect(),
-                sscm: (0..frequencies.len())
-                    .map(|fi| {
-                        let pce = &pces[fi * n_q + q];
-                        SummaryStats::new(pce.mean(), pce.std())
-                    })
-                    .collect(),
-            })
-            .collect();
-
-        Ok(FrequencySweepResult {
-            frequencies: frequencies.to_vec(),
-            quantities,
-            reductions: reduction_summary,
-            collocation_runs: sscm.run_count(),
-            seconds: start.elapsed().as_secs_f64(),
-            seed_reuse: topology.seed_stats(),
-            health,
-        })
+        Ok(self.sweep(frequencies, None)?.sweep)
     }
 
     /// Runs the swept-frequency experiment on an **error-controlled
@@ -1708,10 +1597,12 @@ impl VariationalAnalysis {
     /// dense points, so a wide-band extraction reaches dense-grid accuracy
     /// with a fraction of the solves.
     ///
-    /// Every collocation sample keeps a persistent state across the
-    /// refinement waves: the perturbed problem is built once, the DC
-    /// operating point is solved once, and each refinement point costs one
-    /// numeric refactorization plus one warm-started solve
+    /// The coarse grid is the first wave of the same engine as
+    /// [`VariationalAnalysis::run_frequency_sweep`]; here every collocation
+    /// sample keeps its state across the refinement waves — the perturbed
+    /// problem is built once, the DC operating point is solved once, and
+    /// each refinement point costs one numeric refactorization plus one
+    /// warm-started solve
     /// ([`AcSweepOperator::solve_at`](vaem_fvm::AcSweepOperator::solve_at))
     /// — exactly as much as a point of a fixed-grid sweep. Waves fan out
     /// over the `vaem_parallel` workers with slot-per-input determinism,
@@ -1753,8 +1644,19 @@ impl VariationalAnalysis {
                 coarse_frequencies.len()
             )));
         }
+        self.sweep(coarse_frequencies, Some(options))
+    }
+
+    /// The sweep engine behind both sweep entry points: the nominal stage
+    /// and the first wave over `coarse` (in input order), then — with
+    /// `refine` — the refinement waves.
+    fn sweep(
+        &self,
+        coarse: &[f64],
+        refine: Option<&AdaptiveSweepOptions>,
+    ) -> Result<AdaptiveSweepResult, AnalysisError> {
         let start = Instant::now(); // vaem-lint: allow(D6) wall-clock reporting metadata only; never feeds numeric results
-        if coarse_frequencies.is_empty() {
+        if coarse.is_empty() {
             return Ok(AdaptiveSweepResult {
                 sweep: self.empty_sweep_result(start),
                 origins: Vec::new(),
@@ -1762,280 +1664,71 @@ impl VariationalAnalysis {
                 budget_exhausted: false,
             });
         }
-
         let groups = self.build_groups()?;
-        let topology = Arc::new(SolverTopology::build(&self.structure)?);
+        let mut ctx = self.wave_context(refine.is_some())?;
         let n_q = self.config.quantities.len();
-        let plan = FaultPlan::from_env();
-        let mut health = HealthReport {
-            budget: self.config.quarantine_budget,
-            ..HealthReport::default()
-        };
 
-        // --- Nominal coarse sweep: per-point nominal outputs, wPFA weights
-        // (first grid point) and the donor symbolic phases, published
-        // before any worker starts.
-        let nominal_doping = self.nominal_doping();
-        let (nominal_dc, nominal_flat, node_weights) =
-            self.contain_nominal(&mut health, &plan, self.config.solver.clone(), |options| {
-                let nominal_solver = CoupledSolver::with_topology(
-                    &self.structure,
-                    &nominal_doping,
-                    options,
-                    topology.clone(),
-                )?;
-                let nominal_dc = nominal_solver.solve_dc()?;
-                let mut nominal_operator = nominal_solver.prepare_ac_sweep(&nominal_dc)?;
-                let nominal_sweep =
-                    nominal_operator.sweep_terminal(coarse_frequencies, self.driven_terminal())?;
-                let node_weights = self.nominal_weights(&nominal_sweep[0])?;
-                let mut nominal_flat = Vec::with_capacity(coarse_frequencies.len() * n_q);
-                for ac in &nominal_sweep {
-                    nominal_flat.extend(self.extract_outputs_from(&nominal_solver, ac)?);
-                }
-                Ok((nominal_dc, nominal_flat, node_weights))
-            })?;
+        // --- Nominal over the coarse grid: per-point nominal outputs, the
+        // wPFA weights (first grid point) and the donor factorizations,
+        // published before any worker starts. The nominal keeps its state
+        // for the refinement waves.
+        let mut nominal_state = self.nominal_state();
+        let mut node_weights = Vec::new();
+        let nominal = self.nominal_stage(
+            &mut ctx,
+            &mut nominal_state,
+            coarse,
+            Some(&mut node_weights),
+        )?;
 
-        // --- Reduction + persistent sample states. ---
+        // --- Reduction + the first wave. The PCE machinery is
+        // output-agnostic, so a wave fits every (point, quantity) pair at
+        // once from frequency-major sample outputs: point `k` owns the
+        // chaos models `pces[k * n_q..(k + 1) * n_q]`.
         let (reductions, reduction_summary) = self.build_reductions(&groups, &node_weights)?;
         let total_dim: usize = reductions.iter().map(|r| r.reduced_dim()).sum();
         let sscm = SparseCollocation::new(total_dim);
-        let sample_inputs = self.collocation_inputs(&sscm, &groups, &reductions);
-        health.samples_total = 1 + sample_inputs.len();
-        // Per-sample containment tracking across the refinement waves:
-        // escalated samples evaluate every later wave with the recovery
-        // solver at attempt 1; quarantined samples fast-path to the
-        // nominal spectrum without solving.
-        let mut escalated: Vec<bool> = vec![false; sample_inputs.len()];
-        let mut quarantined: Vec<bool> = vec![false; sample_inputs.len()];
-        let mut states: Vec<SampleState> = Vec::with_capacity(sample_inputs.len());
-        for (i, input) in sample_inputs.iter().enumerate() {
-            let build = {
-                let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 0);
-                self.sample_problem(&input.facet_offsets, &input.doping_deltas)
-            };
-            let (structure, doping) = match build {
-                Ok(problem) => problem,
-                Err(first) => {
-                    let kind = classify(&first);
-                    health.counts.record(kind);
-                    let retry = {
-                        let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, 1);
-                        self.sample_problem(&input.facet_offsets, &input.doping_deltas)
-                    };
-                    match retry {
-                        Ok(problem) => {
-                            health.recovered.push(RecoveredSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind,
-                            });
-                            escalated[i] = true;
-                            problem
-                        }
-                        Err(second) => {
-                            health.quarantined.push(QuarantinedSample {
-                                stage: SampleStage::Sscm,
-                                index: i,
-                                kind: classify(&second),
-                                detail: second.to_string(),
-                            });
-                            quarantined[i] = true;
-                            // Placeholder problem — never solved: the
-                            // fast path patches this sample each wave.
-                            (self.structure.clone(), nominal_doping.clone())
-                        }
-                    }
-                }
-            };
-            states.push(SampleState {
-                structure,
-                doping,
-                dc: None,
-            });
-        }
-        self.check_quarantine_budget(&health)?;
-        // The nominal joins later waves as a persistent state of its own
-        // (publishing stays off there — its donors are already out).
-        let mut nominal_state = SampleState {
-            structure: self.structure.clone(),
-            doping: nominal_doping,
-            dc: Some(nominal_dc),
+        let draws = Draws::Collocation {
+            points: sscm.points(),
+            groups: &groups,
+            reductions: &reductions,
         };
-
-        // --- Wave 0: every sample over the coarse grid. ---
-        let sample_options = self.sample_solver_options();
-        let recovery_options = self.recovery_solver_options();
-        let wave0: Vec<Result<Vec<f64>, AnalysisError>> = par_map_mut(&mut states, |i, state| {
-            if quarantined[i] {
-                // vaem-lint: allow(H2) quarantined samples take a copy of the patched nominal output
-                return Ok(nominal_flat.clone());
-            }
-            let attempt = u32::from(escalated[i]);
-            let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, attempt);
-            let options = if escalated[i] {
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                recovery_options.clone()
-            } else {
-                // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                sample_options.clone()
-            };
-            self.evaluate_state(&topology, state, coarse_frequencies, options)
-        });
-        let sample_outputs = self.contain_wave(
-            &mut health,
-            &plan,
-            &topology,
-            &mut states,
-            &mut escalated,
-            &mut quarantined,
-            coarse_frequencies,
-            &nominal_flat,
-            wave0,
-        );
-        self.check_quarantine_budget(&health)?;
-        // One fit per wave: each sample's outputs are frequency-major, so
-        // point `fi` owns the chaos models `pces[fi * n_q..(fi + 1) * n_q]`.
-        let coarse_pces = sscm.fit(&sample_outputs)?;
-        let mut grid: Vec<PointRecord> = Vec::with_capacity(coarse_frequencies.len());
-        for (fi, &frequency) in coarse_frequencies.iter().enumerate() {
-            let pces = &coarse_pces[fi * n_q..(fi + 1) * n_q];
-            grid.push(PointRecord {
-                frequency,
-                origin: PointOrigin::Coarse,
-                nominal: nominal_flat[fi * n_q..(fi + 1) * n_q].to_vec(),
-                mean: pces.iter().map(|p| p.mean()).collect(),
-                std: pces.iter().map(|p| p.std()).collect(),
-            });
-        }
+        let mut slots = Slot::fresh(sscm.run_count());
+        ctx.health.samples_total = 1 + slots.len();
+        let outputs = self.wave(&mut ctx, &draws, &mut slots, coarse, Some(&nominal))?;
+        let pces = sscm.fit(&outputs)?;
+        let mut grid: Vec<PointRecord> = coarse
+            .iter()
+            .enumerate()
+            .map(|(k, &f)| PointRecord::new(f, PointOrigin::Coarse, k, n_q, &nominal, &pces))
+            .collect();
 
         // --- Refinement waves: flag, bisect, evaluate, refit. ---
         let mut waves = 0usize;
         let mut budget_exhausted = false;
-        loop {
-            let mut flagged: Vec<(usize, f64)> = Vec::new();
-            for i in 1..grid.len().saturating_sub(1) {
-                let indicator = refinement_indicator(&grid[i - 1], &grid[i], &grid[i + 1]);
-                if indicator > options.rel_tolerance {
-                    flag_interval(&mut flagged, i - 1, indicator);
-                    flag_interval(&mut flagged, i, indicator);
+        if let Some(options) = refine {
+            loop {
+                let midpoints = refinement_midpoints(&grid, options, &mut budget_exhausted);
+                if midpoints.is_empty() {
+                    break;
                 }
-            }
-            // (midpoint frequency, depth, indicator) per splittable interval.
-            let mut candidates: Vec<(f64, usize, f64)> = flagged
-                .into_iter()
-                .filter_map(|(left, indicator)| {
-                    let (lo, hi) = (&grid[left], &grid[left + 1]);
-                    let depth = lo.origin.depth().max(hi.origin.depth());
-                    if depth >= options.max_depth {
-                        return None;
-                    }
-                    let mid = midpoint_frequency(lo.frequency, hi.frequency);
-                    // Floating-point exhaustion: the midpoint no longer
-                    // separates the endpoints.
-                    if !(mid > lo.frequency && mid < hi.frequency) {
-                        return None;
-                    }
-                    Some((mid, depth + 1, indicator))
-                })
-                .collect();
-            if candidates.is_empty() {
-                break;
-            }
-            let allowed = options.max_points.saturating_sub(grid.len());
-            if allowed == 0 {
-                budget_exhausted = true;
-                break;
-            }
-            if candidates.len() > allowed {
-                // Spend the remaining budget on the worst offenders.
-                budget_exhausted = true;
-                candidates.sort_by(|a, b| {
-                    b.2.partial_cmp(&a.2)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.total_cmp(&b.0))
-                });
-                candidates.truncate(allowed);
-            }
-            // Evaluate ascending in frequency: deterministic, and the
-            // warm starts walk the spectrum monotonically.
-            candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-            waves += 1;
-
-            let wave_freqs: Vec<f64> = candidates.iter().map(|c| c.0).collect();
-
-            // Donor refresh barrier (AC side — no DC solves happen after
-            // wave 0): if the previous wave re-pivoted past the threshold,
-            // republish from the widest collocation excursion so the
-            // refinement waves re-seed from pivots that fit the spread.
-            // The new donor is recorded at this wave's first midpoint —
-            // an in-band operating point — reusing the state's cached DC
-            // solution, so the refresh costs one AC prepare.
-            if self.config.solver.reuse_symbolic
-                && topology.clear_ac_donor_if_stale(self.config.solver.donor_refresh_stale_rate)
-            {
-                if let Some(widest) = Self::widest_excursion(&sample_inputs) {
-                    // Contained like the MC-barrier republish in `run`:
-                    // losing the refresh only costs later points their
-                    // warm seed, never the sweep.
-                    if let Err(error) = self.republish_ac_donor_from_state(
-                        &topology,
-                        &mut states[widest],
-                        wave_freqs[0],
-                    ) {
-                        health.counts.record(classify(&error));
-                    }
+                waves += 1;
+                let frequencies: Vec<f64> = midpoints.iter().map(|&(f, _)| f).collect();
+                let nominal =
+                    self.nominal_stage(&mut ctx, &mut nominal_state, &frequencies, None)?;
+                let outputs =
+                    self.wave(&mut ctx, &draws, &mut slots, &frequencies, Some(&nominal))?;
+                let pces = sscm.fit(&outputs)?;
+                for (k, &(frequency, depth)) in midpoints.iter().enumerate() {
+                    let origin = PointOrigin::Refined { wave: waves, depth };
+                    let record = PointRecord::new(frequency, origin, k, n_q, &nominal, &pces);
+                    let at = grid.partition_point(|p| p.frequency < frequency);
+                    grid.insert(at, record);
                 }
-            }
-            let nominal_new =
-                self.contain_nominal(&mut health, &plan, sample_options.clone(), |options| {
-                    self.evaluate_state(&topology, &mut nominal_state, &wave_freqs, options)
-                })?;
-            let wave: Vec<Result<Vec<f64>, AnalysisError>> =
-                par_map_mut(&mut states, |i, state| {
-                    if quarantined[i] {
-                        // vaem-lint: allow(H2) quarantined samples take a copy of the patched nominal output
-                        return Ok(nominal_new.clone());
-                    }
-                    let attempt = u32::from(escalated[i]);
-                    let _guard = Self::fault_scope(&plan, FaultStage::Sscm, i, attempt);
-                    let options = if escalated[i] {
-                        // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                        recovery_options.clone()
-                    } else {
-                        // vaem-lint: allow(H2) small solver-options struct copied once per sample at worker entry
-                        sample_options.clone()
-                    };
-                    self.evaluate_state(&topology, state, &wave_freqs, options)
-                });
-            let sample_new = self.contain_wave(
-                &mut health,
-                &plan,
-                &topology,
-                &mut states,
-                &mut escalated,
-                &mut quarantined,
-                &wave_freqs,
-                &nominal_new,
-                wave,
-            );
-            self.check_quarantine_budget(&health)?;
-            let wave_pces = sscm.fit(&sample_new)?;
-            for (ci, &(frequency, depth, _)) in candidates.iter().enumerate() {
-                let pces = &wave_pces[ci * n_q..(ci + 1) * n_q];
-                let record = PointRecord {
-                    frequency,
-                    origin: PointOrigin::Refined { wave: waves, depth },
-                    nominal: nominal_new[ci * n_q..(ci + 1) * n_q].to_vec(),
-                    mean: pces.iter().map(|p| p.mean()).collect(),
-                    std: pces.iter().map(|p| p.std()).collect(),
-                };
-                let at = grid.partition_point(|p| p.frequency < frequency);
-                grid.insert(at, record);
             }
         }
 
-        // --- Assemble the refined-grid result. ---
+        // --- Assemble the result. ---
         let labels = self.config.quantities.labels();
         let quantities = labels
             .into_iter()
@@ -2056,8 +1749,8 @@ impl VariationalAnalysis {
                 reductions: reduction_summary,
                 collocation_runs: sscm.run_count(),
                 seconds: start.elapsed().as_secs_f64(),
-                seed_reuse: topology.seed_stats(),
-                health,
+                seed_reuse: ctx.topology.seed_stats(),
+                health: ctx.health,
             },
             origins: grid.iter().map(|p| p.origin).collect(),
             waves,
@@ -2224,22 +1917,71 @@ mod tests {
         }
     }
 
+    /// The metal plug with the two-quantity capacitance column (self and
+    /// mutual) as outputs, lightly doped, doping-only variation.
+    fn capacitance_analysis() -> VariationalAnalysis {
+        let structure = build_metalplug_structure(&MetalPlugConfig::coarse());
+        let mut config = AnalysisConfig::new(QuantitySet::CapacitanceColumn {
+            driven: "plug1".to_string(),
+            terminals: vec!["plug1".to_string(), "plug2".to_string()],
+        });
+        config.mc_runs = 4;
+        config.energy_fraction = 0.85;
+        config.max_reduced_per_group = 2;
+        config.nominal_donor = 2.0e1;
+        config.variations = VariationSpec {
+            roughness: None,
+            doping: Some(DopingVariationConfig {
+                max_nodes: 12,
+                ..DopingVariationConfig::paper_default()
+            }),
+            via_params: None,
+        };
+        VariationalAnalysis::new(structure, config)
+    }
+
     #[test]
     fn single_point_sweep_matches_the_single_frequency_run() {
-        let analysis = tiny_analysis(false, true);
-        let result = analysis.run_frequency_sweep(&[1.0e9]).unwrap();
-        assert_eq!(result.frequencies, [1.0e9]);
-        let q = &result.quantities[0];
-        assert_eq!(q.nominal.len(), 1);
-        assert_eq!(q.sscm.len(), 1);
-        assert!(q.nominal[0].is_finite() && q.nominal[0] > 0.0);
-        let mut config = analysis.config().clone();
-        config.frequency = 1.0e9;
-        let single = VariationalAnalysis::new(analysis.structure().clone(), config)
-            .run()
-            .unwrap();
-        let rel = (single.quantities[0].nominal - q.nominal[0]).abs() / q.nominal[0];
-        assert!(rel < 1e-9, "nominal mismatch vs single-point run: {rel}");
+        // `run`, a one-point fixed sweep and a one-point adaptive sweep are
+        // the same nominal stage and SSCM wave, so every nominal, SSCM mean
+        // and SSCM std agrees bit for bit.
+        for mut analysis in [
+            tiny_analysis(false, true),
+            tiny_analysis(true, true),
+            capacitance_analysis(),
+        ] {
+            analysis.config.frequency = 1.0e9;
+            let single = analysis.run().unwrap();
+            let fixed = analysis.run_frequency_sweep(&[1.0e9]).unwrap();
+            let adaptive = analysis
+                .run_adaptive_frequency_sweep(&[1.0e9], &AdaptiveSweepOptions::default())
+                .unwrap();
+            assert_eq!(adaptive.waves, 0);
+            let run_bits: Vec<u64> = single
+                .quantities
+                .iter()
+                .flat_map(|q| [q.nominal, q.sscm.mean, q.sscm.std])
+                .map(f64::to_bits)
+                .collect();
+            assert!(single
+                .quantities
+                .iter()
+                .all(|q| q.nominal.is_finite() && q.nominal != 0.0));
+            for sweep in [&fixed, &adaptive.sweep] {
+                assert_eq!(sweep.frequencies, [1.0e9]);
+                let sweep_bits: Vec<u64> = sweep
+                    .quantities
+                    .iter()
+                    .flat_map(|q| [q.nominal[0], q.sscm[0].mean, q.sscm[0].std])
+                    .map(f64::to_bits)
+                    .collect();
+                assert_eq!(
+                    sweep_bits, run_bits,
+                    "{:?}: one-point sweep diverged from run",
+                    analysis.config.quantities
+                );
+            }
+        }
     }
 
     #[test]
@@ -2383,23 +2125,7 @@ mod tests {
         // wrong stride would hand a point its neighbour's (or the other
         // quantity's) chaos. A fixed-grid sweep over the refined grid is the
         // independent per-point reference.
-        let structure = build_metalplug_structure(&MetalPlugConfig::coarse());
-        let mut config = AnalysisConfig::new(QuantitySet::CapacitanceColumn {
-            driven: "plug1".to_string(),
-            terminals: vec!["plug1".to_string(), "plug2".to_string()],
-        });
-        config.energy_fraction = 0.85;
-        config.max_reduced_per_group = 2;
-        config.nominal_donor = 2.0e1;
-        config.variations = VariationSpec {
-            roughness: None,
-            doping: Some(DopingVariationConfig {
-                max_nodes: 12,
-                ..DopingVariationConfig::paper_default()
-            }),
-            via_params: None,
-        };
-        let analysis = VariationalAnalysis::new(structure, config);
+        let analysis = capacitance_analysis();
         let options = AdaptiveSweepOptions {
             rel_tolerance: 1.0e-4,
             max_points: 9,

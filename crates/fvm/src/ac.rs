@@ -12,9 +12,6 @@ pub struct AcSolution {
     /// assembly, kept so post-processing computes currents consistently with
     /// the discretization.
     pub link_admittance: Vec<Complex64>,
-    /// Magnetic vector potential on the links (Wb/µm), present only when the
-    /// solver ran in full-wave mode.
-    pub vector_potential: Option<Vec<Complex64>>,
     /// Angular frequency ω (rad/s) of the solve.
     pub omega: f64,
     /// Name of the driven terminal.
@@ -39,11 +36,6 @@ impl AcSolution {
     #[inline]
     pub fn admittance_at(&self, link: LinkId) -> Complex64 {
         self.link_admittance[link.index()]
-    }
-
-    /// Vector potential on a link, if the solve included the A block.
-    pub fn vector_potential_at(&self, link: LinkId) -> Option<Complex64> {
-        self.vector_potential.as_ref().map(|a| a[link.index()])
     }
 
     /// Frequency in Hz.

@@ -3,9 +3,10 @@
 //! This crate implements the deterministic "A–V solver" substrate of the
 //! paper (Section II.A): the structure is meshed into (possibly perturbed)
 //! cubes, the scalar potential `V` and the carrier densities live on the
-//! nodes, the vector potential `A` on the links, and the discretized
-//! Gauss / current-continuity / carrier-continuity / Ampère equations are
-//! solved for the hybrid metal–insulator–semiconductor structure.
+//! nodes, and the discretized Gauss / current-continuity equations are
+//! solved for the hybrid metal–insulator–semiconductor structure. The
+//! vector-potential block of the paper's eq. (3) is not solved: the AC
+//! stage is electro-quasi-static.
 //!
 //! Organisation:
 //!
@@ -18,12 +19,10 @@
 //! * [`AcSolution`] / [`CoupledSolver::solve_ac`] — frequency-domain coupled
 //!   solve around the operating point ([`CoupledSolver::prepare_ac`] returns
 //!   an [`AcOperator`] that factorizes once and solves every terminal
-//!   excitation against the cached factorization). The default
-//!   [`EmMode::ElectroQuasiStatic`] solves the complex potential equation
-//!   with the full admittivity `σ + jωε` (metal conduction, dielectric
-//!   displacement, semiconductor small-signal conduction); the
-//!   [`EmMode::FullWave`] mode additionally carries the vector-potential
-//!   block of eq. (3) on the links.
+//!   excitation against the cached factorization). It solves the complex
+//!   potential equation with the full admittivity `σ + jωε` (metal
+//!   conduction, dielectric displacement, semiconductor small-signal
+//!   conduction).
 //! * [`postprocess`] — terminal currents, interface currents (Table I),
 //!   capacitance matrix columns (Table II), and potential maps on cross
 //!   sections (Fig. 2b).
@@ -61,6 +60,5 @@ pub use ac::AcSolution;
 pub use dc::DcSolution;
 pub use error::FvmError;
 pub use solver::{
-    AcOperator, AcSweepOperator, CoupledSolver, EmMode, SeedReuseStats, SolverOptions,
-    SolverTopology,
+    AcOperator, AcSweepOperator, CoupledSolver, SeedReuseStats, SolverOptions, SolverTopology,
 };

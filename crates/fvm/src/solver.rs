@@ -3,31 +3,16 @@
 use crate::coefficients::{link_admittivity, link_permittivity, node_admittivity};
 use crate::terminals::{label_terminals, TerminalMap};
 use crate::{AcSolution, DcSolution, FvmError};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
+use std::sync::{Arc, OnceLock};
+use vaem_mesh::{LinkId, Material, NodeId, Structure};
 use vaem_numeric::Complex64;
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
 use vaem_sparse::{
     IluSeed, LinearSolver, PreparedSolver, SolveReport, SolverKind, SparsityPattern, SymbolicLu,
     TripletMatrix,
 };
-
-/// Electromagnetic modelling depth of the AC stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EmMode {
-    /// Electro-quasi-static: complex potential equation with the full
-    /// admittivity `σ + jωε` (metal conduction, dielectric displacement,
-    /// semiconductor small-signal conduction). This is the default for the
-    /// statistical sweeps.
-    #[default]
-    ElectroQuasiStatic,
-    /// Additionally computes the magnetic vector potential on the links from
-    /// the conduction/displacement current distribution (one-way coupled
-    /// approximation of the paper's eq. 3).
-    FullWave,
-}
 
 /// Configuration of the coupled solver.
 #[derive(Debug, Clone)]
@@ -36,8 +21,6 @@ pub struct SolverOptions {
     pub materials: MaterialTable,
     /// Silicon carrier-statistics parameters.
     pub silicon: SiliconParams,
-    /// Electromagnetic modelling depth.
-    pub em_mode: EmMode,
     /// Linear solver strategy for both stages.
     pub linear_solver: SolverKind,
     /// Maximum Newton iterations of the DC stage.
@@ -68,17 +51,6 @@ pub struct SolverOptions {
     /// every later seeded solve. The analysis layer does exactly this for
     /// its sample workers.
     pub publish_symbolic: bool,
-    /// Stale-refactorization rate (stale reports per factorization report,
-    /// both counted since the current donor was published) above which a
-    /// *publishing* solver that itself just re-pivoted replaces the shared
-    /// donor with its own freshly recorded symbolic phase. The first donor
-    /// (normally the nominal sample) is a good seed for small excursions,
-    /// but on wide parameter excursions every sample can end up re-pivoting
-    /// from scratch while the topology still hands out the stale donor; the
-    /// refresh policy swaps in a pivot sequence recorded from the current
-    /// excursion instead. Set to `f64::INFINITY` to pin the first donor
-    /// forever (the pre-refresh behaviour).
-    pub donor_refresh_stale_rate: f64,
 }
 
 impl Default for SolverOptions {
@@ -86,148 +58,38 @@ impl Default for SolverOptions {
         Self {
             materials: MaterialTable::default(),
             silicon: SiliconParams::default(),
-            em_mode: EmMode::ElectroQuasiStatic,
             linear_solver: SolverKind::Auto,
             newton_max_iterations: 60,
             newton_tolerance: 1e-9,
             reuse_symbolic: true,
             publish_symbolic: true,
-            donor_refresh_stale_rate: 0.5,
         }
     }
 }
 
-/// A republishable donor symbolic phase plus its health bookkeeping.
+/// A write-once donor symbolic phase plus the stale re-pivots its
+/// consumers reported.
 ///
-/// The first publisher fills the slot (for the analysis fan-outs that is
-/// deterministically the nominal sample, solved before the workers start).
-/// Afterwards the slot tracks how the donor performs: every *counted*
-/// factorization report bumps `window_reports` (one per seed consumer —
-/// a DC solve or an AC operator's first frequency, NOT every grid point of
-/// a sweep, which would dilute the rate below any threshold), every
-/// stale-pivot re-pivot bumps `window_stale`, and both windows reset when
-/// a new donor lands. When the windowed stale rate crosses the configured
-/// threshold and a *publishing* solver reports a re-pivot, its freshly
-/// recorded pivot structure replaces the donor — see
-/// [`SolverOptions::donor_refresh_stale_rate`].
-///
-/// The window counters are plain atomics updated outside the donor lock:
-/// under concurrent reporting a handful of counts can land between a
-/// publisher's rate check and its window reset and be dropped from the new
-/// donor's window. The rate is a refresh heuristic, never a correctness
-/// input, and the deterministic orchestration (workers don't publish;
-/// refresh decisions happen at single-threaded barriers) doesn't hit the
-/// race at all — so the approximation is accepted rather than paid for
-/// with a write-lock on every report.
+/// The first publisher fills the slot and is never replaced; for the
+/// analysis fan-outs that is deterministically the nominal sample, solved
+/// before the workers start. A consumer whose perturbed values leave the
+/// donor's pivot sequence re-pivots locally and only adds to the count.
 #[derive(Debug, Default)]
 struct DonorSlot {
-    donor: RwLock<Option<SymbolicLu>>,
-    /// Counted factorization reports (seed consumers) since the current
-    /// donor was published.
-    window_reports: AtomicU64,
-    /// Stale re-pivots since the current donor was published.
-    window_stale: AtomicU64,
-    /// Cumulative stale re-pivots (never reset; surfaced in the stats).
-    total_stale: AtomicU64,
-    /// How many times the refresh policy replaced (or dropped) the donor.
-    refreshes: AtomicU64,
+    donor: OnceLock<SymbolicLu>,
+    /// Cumulative stale re-pivots reported by the solvers sharing the slot.
+    stale: AtomicU64,
 }
 
 impl DonorSlot {
-    /// A cheap seeding handle onto the current donor, if one is published.
-    fn seed(&self) -> Option<SymbolicLu> {
-        self.donor
-            .read()
-            .expect("donor slot lock poisoned")
-            .as_ref()
-            .map(SymbolicLu::seed_from)
-    }
-
-    fn is_published(&self) -> bool {
-        self.donor
-            .read()
-            .expect("donor slot lock poisoned")
-            .is_some()
-    }
-
-    /// Stale re-pivots per counted factorization report (seed consumer)
-    /// since the current donor was published (0 when nothing went stale).
-    fn stale_rate(&self) -> f64 {
-        let stale = self.window_stale.load(Ordering::Relaxed);
-        if stale == 0 {
-            return 0.0;
+    /// Records one factorization report: adds `stale_delta` not-yet-reported
+    /// re-pivots and, when `publish` allows it and `symbolic` carries a
+    /// recorded structure, publishes it unless a donor is already there.
+    fn note(&self, symbolic: Option<&SymbolicLu>, publish: bool, stale_delta: u64) {
+        self.stale.fetch_add(stale_delta, Ordering::Relaxed);
+        if let Some(symbolic) = symbolic.filter(|s| publish && s.has_structure()) {
+            self.donor.get_or_init(|| symbolic.seed_from());
         }
-        stale as f64 / self.window_reports.load(Ordering::Relaxed).max(1) as f64
-    }
-
-    /// Records one factorization report: `stale_delta` not-yet-reported
-    /// re-pivots, `count_report` whether this report represents a new seed
-    /// consumer (an AC sweep reports once per grid point but consumes the
-    /// donor only at its first frequency — counting every point would
-    /// dilute the stale rate with the sweep length), and — when `publish`
-    /// allows it and `symbolic` carries a recorded structure — publishes
-    /// the first donor or, if this report itself re-pivoted while the
-    /// windowed stale rate exceeds `refresh_rate`, republishes a fresher
-    /// one.
-    fn note(
-        &self,
-        symbolic: Option<&SymbolicLu>,
-        publish: bool,
-        stale_delta: u64,
-        count_report: bool,
-        refresh_rate: f64,
-    ) {
-        let reports = if count_report {
-            self.window_reports.fetch_add(1, Ordering::Relaxed) + 1
-        } else {
-            self.window_reports.load(Ordering::Relaxed).max(1)
-        };
-        let stale = if stale_delta > 0 {
-            self.total_stale.fetch_add(stale_delta, Ordering::Relaxed);
-            self.window_stale.fetch_add(stale_delta, Ordering::Relaxed) + stale_delta
-        } else {
-            self.window_stale.load(Ordering::Relaxed)
-        };
-        if !publish {
-            return;
-        }
-        let Some(symbolic) = symbolic.filter(|s| s.has_structure()) else {
-            return;
-        };
-        let mut slot = self.donor.write().expect("donor slot lock poisoned");
-        if slot.is_none() {
-            *slot = Some(symbolic.seed_from());
-            self.reset_window();
-        } else if stale_delta > 0 && stale as f64 > refresh_rate * reports as f64 {
-            // This publisher's cached pivots went stale and re-pivoted from
-            // scratch, so its recorded structure reflects the *current*
-            // excursion — swap it in for the worn-out donor.
-            *slot = Some(symbolic.seed_from());
-            self.refreshes.fetch_add(1, Ordering::Relaxed);
-            self.reset_window();
-        }
-    }
-
-    /// Drops the donor when its windowed stale rate exceeds the threshold,
-    /// so the next publishing solve re-donates from its own (fresh)
-    /// symbolic analysis. Returns `true` when a donor was dropped.
-    fn clear_if_stale(&self, rate_threshold: f64) -> bool {
-        if self.window_stale.load(Ordering::Relaxed) == 0 || self.stale_rate() <= rate_threshold {
-            return false;
-        }
-        let mut slot = self.donor.write().expect("donor slot lock poisoned");
-        if slot.is_none() {
-            return false;
-        }
-        *slot = None;
-        self.refreshes.fetch_add(1, Ordering::Relaxed);
-        self.reset_window();
-        true
-    }
-
-    fn reset_window(&self) {
-        self.window_reports.store(0, Ordering::Relaxed);
-        self.window_stale.store(0, Ordering::Relaxed);
     }
 }
 
@@ -259,10 +121,7 @@ pub struct SolverTopology {
     /// solve that prepares a direct factorization — the nominal sample,
     /// when the analysis layer solves it before fanning the samples out —
     /// and seeded into every later sample's Newton loop so their
-    /// factorizations are numeric-only from the first iteration. The slot
-    /// is refreshable: when the stale rate crosses the configured
-    /// threshold a fresher donor replaces it (see
-    /// [`SolverOptions::donor_refresh_stale_rate`]).
+    /// factorizations are numeric-only from the first iteration.
     dc_donor: DonorSlot,
     /// Donor symbolic LU of the AC operator (pattern-only state is
     /// scalar-agnostic, so one cache serves the complex operator).
@@ -271,12 +130,11 @@ pub struct SolverTopology {
     /// `dc_donor`, for meshes where the solvers prepare an iterative
     /// strategy. First publisher wins (the nominal sample under the
     /// analysis orchestration); each recipient's lazy refresh policy then
-    /// decides locally if and when to rebuild from its own values, so a
-    /// worn donation self-corrects without any shared health window.
-    dc_ilu_donor: RwLock<Option<IluSeed<f64>>>,
+    /// decides locally if and when to rebuild from its own values.
+    dc_ilu_donor: OnceLock<IluSeed<f64>>,
     /// Donor ILU(0) values of the AC operator (complex-valued, so typed
     /// separately from the DC slot).
-    ac_ilu_donor: RwLock<Option<IluSeed<Complex64>>>,
+    ac_ilu_donor: OnceLock<IluSeed<Complex64>>,
 }
 
 /// Aggregate symbolic-reuse statistics of one shared [`SolverTopology`]
@@ -297,10 +155,10 @@ pub struct SeedReuseStats {
     /// Total stale-pivot re-pivoting fallbacks across every AC operator
     /// that reported into this topology.
     pub ac_stale_refactorizations: u64,
-    /// How many times the donor-refresh policy replaced (or dropped) the
-    /// published DC donor because its stale rate crossed the threshold.
+    /// Always 0: a published donor is never replaced. Kept because the
+    /// benchmark reads it.
     pub dc_donor_refreshes: u64,
-    /// Same, for the AC donor.
+    /// Always 0, like [`SeedReuseStats::dc_donor_refreshes`].
     pub ac_donor_refreshes: u64,
 }
 
@@ -340,8 +198,8 @@ impl SolverTopology {
             ac_pattern: OnceLock::new(),
             dc_donor: DonorSlot::default(),
             ac_donor: DonorSlot::default(),
-            dc_ilu_donor: RwLock::new(None),
-            ac_ilu_donor: RwLock::new(None),
+            dc_ilu_donor: OnceLock::new(),
+            ac_ilu_donor: OnceLock::new(),
         })
     }
 
@@ -351,76 +209,31 @@ impl SolverTopology {
     }
 
     /// Aggregate symbolic-reuse statistics: whether DC/AC donor symbolic
-    /// phases have been published, how many stale-pivot re-pivots the
-    /// solvers sharing this topology have reported, and how many times the
-    /// refresh policy swapped in a fresher donor.
+    /// phases and ILU(0) donations have been published and how many
+    /// stale-pivot re-pivots the solvers sharing this topology have
+    /// reported.
     pub fn seed_stats(&self) -> SeedReuseStats {
         SeedReuseStats {
-            dc_seeded: self.dc_donor.is_published(),
-            ac_seeded: self.ac_donor.is_published(),
-            dc_ilu_seeded: self
-                .dc_ilu_donor
-                .read()
-                .expect("ilu donor lock poisoned")
-                .is_some(),
-            ac_ilu_seeded: self
-                .ac_ilu_donor
-                .read()
-                .expect("ilu donor lock poisoned")
-                .is_some(),
-            dc_stale_refactorizations: self.dc_donor.total_stale.load(Ordering::Relaxed),
-            ac_stale_refactorizations: self.ac_donor.total_stale.load(Ordering::Relaxed),
-            dc_donor_refreshes: self.dc_donor.refreshes.load(Ordering::Relaxed),
-            ac_donor_refreshes: self.ac_donor.refreshes.load(Ordering::Relaxed),
+            dc_seeded: self.dc_donor.donor.get().is_some(),
+            ac_seeded: self.ac_donor.donor.get().is_some(),
+            dc_ilu_seeded: self.dc_ilu_donor.get().is_some(),
+            ac_ilu_seeded: self.ac_ilu_donor.get().is_some(),
+            dc_stale_refactorizations: self.dc_donor.stale.load(Ordering::Relaxed),
+            ac_stale_refactorizations: self.ac_donor.stale.load(Ordering::Relaxed),
+            dc_donor_refreshes: 0,
+            ac_donor_refreshes: 0,
         }
     }
 
-    /// Stale re-pivots per DC factorization report since the current DC
-    /// donor was published.
-    pub fn dc_stale_rate(&self) -> f64 {
-        self.dc_donor.stale_rate()
-    }
-
-    /// Stale re-pivots per AC refactorization report since the current AC
-    /// donor was published.
-    pub fn ac_stale_rate(&self) -> f64 {
-        self.ac_donor.stale_rate()
-    }
-
-    /// Drops the published DC donor when its observed stale rate exceeds
-    /// `rate_threshold`, so the next *publishing* DC solve re-donates from
-    /// its own fresh symbolic analysis. Returns `true` when a donor was
-    /// dropped. Orchestration layers call this at deterministic barriers
-    /// (between sweep stages) — the workers themselves never publish, so a
-    /// mid-fan-out refresh cannot depend on thread timing.
-    pub fn clear_dc_donor_if_stale(&self, rate_threshold: f64) -> bool {
-        self.dc_donor.clear_if_stale(rate_threshold)
-    }
-
-    /// [`SolverTopology::clear_dc_donor_if_stale`] for the AC donor.
-    pub fn clear_ac_donor_if_stale(&self, rate_threshold: f64) -> bool {
-        self.ac_donor.clear_if_stale(rate_threshold)
-    }
-
-    /// Publishes a donor symbolic phase / accumulates stale-refactorization
-    /// counts from a finished DC prepared solver. The first publisher wins
-    /// (deterministically the nominal sample when the analysis layer runs
-    /// it before the fan-out); later publishing reports can *replace* the
-    /// donor when the stale rate crossed `refresh_rate`, and non-publishing
-    /// ones only add their counters.
-    fn note_dc_factorization(
-        &self,
-        prepared: &PreparedSolver<f64>,
-        publish: bool,
-        refresh_rate: f64,
-    ) {
-        // One DC solve = one seed consumer: every report counts.
+    /// Publishes a donor symbolic phase and ILU(0) donation (first
+    /// publisher wins: deterministically the nominal sample when the
+    /// analysis layer runs it before the fan-out) and adds the stale
+    /// re-pivots of a finished DC prepared solver.
+    fn note_dc_factorization(&self, prepared: &PreparedSolver<f64>, publish: bool) {
         self.dc_donor.note(
             prepared.direct_symbolic(),
             publish,
             prepared.direct_stale_fallbacks(),
-            true,
-            refresh_rate,
         );
         if publish {
             publish_ilu_donor(&self.dc_ilu_donor, prepared);
@@ -429,47 +242,18 @@ impl SolverTopology {
 
     /// [`SolverTopology::note_dc_factorization`] for the complex AC
     /// operator; `stale_delta` is the number of not-yet-reported fallbacks
-    /// (the sweep operator reports incrementally, once per frequency) and
-    /// `count_report` marks the operator's first report — the one where
-    /// the donor was actually consumed. Later grid points only deliver
-    /// stale deltas, so a long sweep cannot dilute the stale rate below
-    /// the refresh threshold.
+    /// (the sweep operator reports incrementally, once per frequency).
     fn note_ac_factorization(
         &self,
         prepared: &PreparedSolver<Complex64>,
         publish: bool,
         stale_delta: u64,
-        count_report: bool,
-        refresh_rate: f64,
     ) {
-        self.ac_donor.note(
-            prepared.direct_symbolic(),
-            publish,
-            stale_delta,
-            count_report,
-            refresh_rate,
-        );
+        self.ac_donor
+            .note(prepared.direct_symbolic(), publish, stale_delta);
         if publish {
             publish_ilu_donor(&self.ac_ilu_donor, prepared);
         }
-    }
-
-    /// A cheap clone of the published DC ILU(0) donation, if any.
-    // vaem-lint: cold seed extraction during solver handoff, once per topology
-    fn dc_ilu_seed(&self) -> Option<IluSeed<f64>> {
-        self.dc_ilu_donor
-            .read()
-            .expect("ilu donor lock poisoned")
-            .clone()
-    }
-
-    /// A cheap clone of the published AC ILU(0) donation, if any.
-    // vaem-lint: cold seed extraction during solver handoff, once per topology
-    fn ac_ilu_seed(&self) -> Option<IluSeed<Complex64>> {
-        self.ac_ilu_donor
-            .read()
-            .expect("ilu donor lock poisoned")
-            .clone()
     }
 
     /// Number of mesh nodes the topology was built for.
@@ -487,15 +271,13 @@ impl SolverTopology {
 /// baseline) into a shared donation slot — first publisher wins, solvers
 /// that prepared the direct strategy have nothing to donate.
 fn publish_ilu_donor<T: vaem_numeric::Scalar>(
-    slot: &RwLock<Option<IluSeed<T>>>,
+    slot: &OnceLock<IluSeed<T>>,
     prepared: &PreparedSolver<T>,
 ) {
-    let Some(donation) = prepared.ilu_donor() else {
-        return;
-    };
-    let mut slot = slot.write().expect("ilu donor lock poisoned");
-    if slot.is_none() {
-        *slot = Some(donation);
+    if slot.get().is_none() {
+        if let Some(donation) = prepared.ilu_donor() {
+            slot.get_or_init(|| donation);
+        }
     }
 }
 
@@ -806,15 +588,14 @@ impl<'a> CoupledSolver<'a> {
                     // from the nominal's donated ILU(0) values instead of
                     // building a preconditioner from scratch.
                     let (seed, ilu_seed) = if self.options.reuse_symbolic {
-                        (self.topology.dc_donor.seed(), self.topology.dc_ilu_seed())
+                        (
+                            self.topology.dc_donor.donor.get(),
+                            self.topology.dc_ilu_donor.get(),
+                        )
                     } else {
                         (None, None)
                     };
-                    let p = prepared.insert(linear.prepare_seeded_with(
-                        matrix,
-                        seed.as_ref(),
-                        ilu_seed.as_ref(),
-                    )?);
+                    let p = prepared.insert(linear.prepare_seeded_with(matrix, seed, ilu_seed)?);
                     p.solve(&rhs)?
                 }
             };
@@ -869,7 +650,6 @@ impl<'a> CoupledSolver<'a> {
             self.topology.note_dc_factorization(
                 p,
                 self.options.reuse_symbolic && self.options.publish_symbolic,
-                self.options.donor_refresh_stale_rate,
             );
         }
 
@@ -908,7 +688,6 @@ impl<'a> CoupledSolver<'a> {
         frequency: f64,
     ) -> Result<AcSolution, FvmError> {
         let mut excitations = BTreeMap::new();
-        // vaem-lint: allow(H1) terminal-label key for the excitation map, once per AC solve
         excitations.insert(driven_terminal.to_string(), Complex64::ONE);
         self.solve_ac_with_excitations(dc, &excitations, frequency, driven_terminal)
     }
@@ -1044,65 +823,6 @@ impl<'a> CoupledSolver<'a> {
             omega: f64::NAN,
         })
     }
-
-    /// One-way coupled vector-potential solve (simplified eq. 3): each
-    /// Cartesian component of `A` satisfies a Poisson-type equation on the
-    /// link graph with the link currents as sources,
-    /// `Σ (A_m − A_l)/µ_r + K·I_l = 0`, with `A = 0` on boundary links.
-    fn solve_vector_potential(
-        &self,
-        mesh: &vaem_mesh::CartesianMesh,
-        potential: &[Complex64],
-        link_admittance: &[Complex64],
-        omega: f64,
-    ) -> Result<Vec<Complex64>, FvmError> {
-        // Lookup from (axis, from-node) to link id for neighbour search.
-        let mut by_from: HashMap<(usize, usize), usize> = HashMap::new(); // vaem-lint: allow(D1) lookup-only: filled once, then queried via .get(); never iterated, so no order dependence
-        for lid in mesh.link_ids() {
-            let link = mesh.link(lid);
-            by_from.insert((link.axis.as_usize(), link.from.index()), lid.index());
-        }
-        let n_links = mesh.link_count();
-        let mut matrix = TripletMatrix::with_capacity(n_links, n_links, n_links * 7);
-        // vaem-lint: allow(H1) AC assembly workspace, once per frequency solve
-        let mut rhs = vec![Complex64::ZERO; n_links];
-        // Scaling constant K of the paper's eq. (3): µ0 here (SI, µm units).
-        let k_scale = constants::VACUUM_PERMEABILITY;
-
-        for lid in mesh.link_ids() {
-            let l = lid.index();
-            let link = mesh.link(lid);
-            let from_idx = mesh.grid_index(link.from);
-            // Boundary links (touching the domain boundary) are pinned to 0.
-            if mesh.is_boundary(link.from) || mesh.is_boundary(link.to) {
-                matrix.push(l, l, Complex64::ONE);
-                continue;
-            }
-            let mut diag = Complex64::ZERO;
-            for axis in Axis::ALL {
-                for forward in [false, true] {
-                    let neighbour_from = mesh.neighbor(link.from, axis, forward);
-                    if let Some(nf) = neighbour_from {
-                        if let Some(&m) = by_from.get(&(link.axis.as_usize(), nf.index())) {
-                            matrix.push(l, m, Complex64::ONE);
-                            diag -= Complex64::ONE;
-                        }
-                    }
-                }
-            }
-            let _ = from_idx;
-            matrix.push(l, l, diag);
-            // Source: link current (conduction + displacement) times K.
-            let current =
-                link_admittance[l] * (potential[link.from.index()] - potential[link.to.index()]);
-            rhs[l] = -(current.scale(k_scale));
-            let _ = omega;
-        }
-
-        let linear = LinearSolver::new(self.options.linear_solver);
-        let (a, _report) = linear.solve(&matrix.to_csr(), &rhs)?;
-        Ok(a)
-    }
 }
 
 /// A sweep-aware factorized frequency-domain operator bound to one DC
@@ -1237,7 +957,6 @@ impl AcSweepOperator<'_, '_> {
             }
         };
 
-        let first_frequency = self.prepared.is_none();
         match self.prepared.as_mut() {
             Some(p) => p.refactor(matrix)?,
             None => {
@@ -1249,21 +968,17 @@ impl AcSweepOperator<'_, '_> {
                 let linear = LinearSolver::new(solver.options.linear_solver);
                 let (seed, ilu_seed) = if solver.options.reuse_symbolic {
                     (
-                        solver.topology.ac_donor.seed(),
-                        solver.topology.ac_ilu_seed(),
+                        solver.topology.ac_donor.donor.get(),
+                        solver.topology.ac_ilu_donor.get(),
                     )
                 } else {
                     (None, None)
                 };
-                self.prepared =
-                    Some(linear.prepare_seeded_with(matrix, seed.as_ref(), ilu_seed.as_ref())?);
+                self.prepared = Some(linear.prepare_seeded_with(matrix, seed, ilu_seed)?);
             }
         }
         // Publish the donor (first publisher wins) and report any new
-        // stale-pivot re-pivots into the shared statistics. Only the first
-        // frequency counts into the donor's health window — that is where
-        // the seed was consumed; later points merely refactor this
-        // operator's own (possibly re-recorded) structure.
+        // stale-pivot re-pivots into the shared statistics.
         if let Some(p) = &self.prepared {
             let total = p.direct_stale_fallbacks();
             // `saturating_sub`: a replaced factorization (pattern change,
@@ -1274,8 +989,6 @@ impl AcSweepOperator<'_, '_> {
                 p,
                 solver.options.reuse_symbolic && solver.options.publish_symbolic,
                 delta,
-                first_frequency,
-                solver.options.donor_refresh_stale_rate,
             );
             self.reported_stale = total;
         }
@@ -1326,7 +1039,6 @@ impl AcSweepOperator<'_, '_> {
         // Each grid walk starts cold, so back-to-back sweeps of the same
         // operator reproduce each other exactly.
         self.warm = None;
-        // vaem-lint: allow(H1) sweep output buffer sized once per sweep
         let mut out = Vec::with_capacity(frequencies.len());
         for &frequency in frequencies {
             out.push(self.solve_at(frequency, driven_terminal)?);
@@ -1379,8 +1091,7 @@ impl AcSweepOperator<'_, '_> {
     /// # Errors
     /// * [`FvmError::Configuration`] when no frequency has been set, or for
     ///   an unknown terminal name (checked before any solve).
-    /// * The first failure in column order of the linear solve, the
-    ///   full-wave vector-potential solve or `f`.
+    /// * The first failure in column order of the linear solve or `f`.
     pub fn solve_terminals<R, F>(&mut self, driven: &[&str], f: F) -> Result<Vec<R>, FvmError>
     where
         R: Send,
@@ -1407,9 +1118,7 @@ impl AcSweepOperator<'_, '_> {
                 prepared.solve_batch(
                     driven.len(),
                     |j, rhs| this.fill_rhs(unit(j), rhs),
-                    |j, solution, report| {
-                        f(&this.package(&solution, unit(j), driven[j], &report)?)
-                    },
+                    |j, solution, report| f(&this.package(&solution, unit(j), driven[j], &report)),
                 )
             }
         };
@@ -1445,7 +1154,7 @@ impl AcSweepOperator<'_, '_> {
         self.fill_rhs(excitation_of, &mut rhs);
         let prepared = self.prepared.as_mut().ok_or_else(no_frequency_error)?;
         let (solution, report) = prepared.solve_with_guess(&rhs, guess)?;
-        let ac = self.package(&solution, excitation_of, driven_label, &report)?;
+        let ac = self.package(&solution, excitation_of, driven_label, &report);
         Ok((ac, solution))
     }
 
@@ -1459,15 +1168,15 @@ impl AcSweepOperator<'_, '_> {
     }
 
     /// Scatters a solution on the unknown nodes into node space (contacts
-    /// at `excitation_of(contact)`), adds the full-wave vector potential
-    /// when enabled, and packages the result with the solver's report.
+    /// at `excitation_of(contact)`) and packages it with the solver's
+    /// report.
     fn package(
         &self,
         solution: &[Complex64],
         excitation_of: impl Fn(usize) -> Complex64,
         driven_label: &str,
         report: &SolveReport,
-    ) -> Result<AcSolution, FvmError> {
+    ) -> AcSolution {
         let solver = self.solver;
         let mesh = &solver.structure.mesh;
         // vaem-lint: allow(H1) solution scatter into node space, once per frequency solve
@@ -1484,28 +1193,17 @@ impl AcSweepOperator<'_, '_> {
             };
         }
 
-        let vector_potential = match solver.options.em_mode {
-            EmMode::ElectroQuasiStatic => None,
-            EmMode::FullWave => Some(solver.solve_vector_potential(
-                mesh,
-                &potential,
-                &self.link_admittance,
-                self.omega,
-            )?),
-        };
-
-        Ok(AcSolution {
+        AcSolution {
             potential,
             // vaem-lint: allow(H2) the solution record owns its admittance table; one copy per frequency solve
             link_admittance: self.link_admittance.clone(),
-            vector_potential,
             omega: self.omega,
             // vaem-lint: allow(H1) terminal-label copy into the solution record, once per frequency solve
             driven_terminal: driven_label.to_string(),
             solver_strategy: report.strategy,
             linear_residual: report.residual_norm,
             krylov_iterations: report.iterations,
-        })
+        }
     }
 }
 
@@ -1611,22 +1309,6 @@ mod tests {
             CoupledSolver::new(&s, &doping, SolverOptions::default()),
             Err(FvmError::Configuration { .. })
         ));
-    }
-
-    #[test]
-    fn full_wave_mode_produces_vector_potential() {
-        let s = parallel_plate(1.0);
-        let doping = DopingProfile::undoped(s.mesh.node_count());
-        let options = SolverOptions {
-            em_mode: EmMode::FullWave,
-            ..SolverOptions::default()
-        };
-        let solver = CoupledSolver::new(&s, &doping, options).unwrap();
-        let dc = solver.solve_dc().unwrap();
-        let ac = solver.solve_ac(&dc, "top", 1.0e9).unwrap();
-        let a = ac.vector_potential.as_ref().expect("full wave stores A");
-        assert_eq!(a.len(), s.mesh.link_count());
-        assert!(a.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -1860,149 +1542,36 @@ mod tests {
     }
 
     #[test]
-    fn stale_donor_is_republished_once_the_stale_rate_crosses_the_threshold() {
-        // Regression test for the stale-donor lock-in: the topology used to
-        // keep the first published donor forever, so a wide parameter
-        // excursion re-pivoted every sample while `seed_reuse` still
-        // reported a healthy donor. The slot must swap in the publisher's
-        // freshly re-pivoted structure once the stale rate crosses the
-        // threshold.
-        let s = parallel_plate(1.0);
-        let topology = SolverTopology::build(&s).unwrap();
-        let linear = LinearSolver::new(SolverKind::DirectLu);
-        let refresh_rate = 0.5;
-
-        // The nominal publisher donates the diagonal pivot sequence.
-        let donor = linear.prepare(&donor_matrix()).unwrap();
-        topology.note_dc_factorization(&donor, true, refresh_rate);
-        let stats = topology.seed_stats();
-        assert!(stats.dc_seeded);
-        assert_eq!(stats.dc_donor_refreshes, 0);
-
-        // A publishing consumer hits the excursion: its seeded
-        // factorization goes stale, re-pivots locally, and — with the stale
-        // rate now above the threshold — replaces the donor.
-        let seed = topology.dc_donor.seed();
-        let stale = linear
-            .prepare_seeded(&hostile_matrix(), seed.as_ref())
-            .unwrap();
-        assert_eq!(stale.direct_stale_fallbacks(), 1);
-        topology.note_dc_factorization(&stale, true, refresh_rate);
-        let stats = topology.seed_stats();
-        assert_eq!(stats.dc_donor_refreshes, 1, "{stats:?}");
-        assert_eq!(stats.dc_stale_refactorizations, 1);
-
-        // The refreshed donor was recorded from the excursion's values, so
-        // the next consumer stays on the numeric-only path.
-        let seed = topology.dc_donor.seed();
-        let fresh = linear
-            .prepare_seeded(&hostile_matrix(), seed.as_ref())
-            .unwrap();
-        assert_eq!(
-            fresh.direct_stale_fallbacks(),
-            0,
-            "refreshed donor must fit the excursion"
-        );
-        topology.note_dc_factorization(&fresh, true, refresh_rate);
-        assert_eq!(topology.seed_stats().dc_donor_refreshes, 1);
-    }
-
-    #[test]
-    fn non_publishing_reports_never_replace_the_donor_and_barrier_clear_engages() {
-        // The analysis fan-out: samples report staleness but must not
-        // republish (publish = false keeps the donor identity independent
-        // of worker timing). The orchestration layer then clears the
-        // worn-out donor at a deterministic barrier instead.
+    fn first_donor_is_never_replaced() {
+        // The nominal publisher donates the diagonal pivot sequence; later
+        // publishing consumers whose values leave it re-pivot locally and
+        // are counted, but the slot keeps the first donor.
         let s = parallel_plate(1.0);
         let topology = SolverTopology::build(&s).unwrap();
         let linear = LinearSolver::new(SolverKind::DirectLu);
         let donor = linear.prepare(&donor_matrix()).unwrap();
-        topology.note_dc_factorization(&donor, true, 0.5);
-
-        for _ in 0..4 {
-            let seed = topology.dc_donor.seed();
+        topology.note_dc_factorization(&donor, true);
+        assert!(topology.seed_stats().dc_seeded);
+        for _ in 0..3 {
             let stale = linear
-                .prepare_seeded(&hostile_matrix(), seed.as_ref())
+                .prepare_seeded(&hostile_matrix(), topology.dc_donor.donor.get())
                 .unwrap();
             assert_eq!(stale.direct_stale_fallbacks(), 1);
-            topology.note_dc_factorization(&stale, false, 0.5);
+            topology.note_dc_factorization(&stale, true);
         }
         let stats = topology.seed_stats();
-        assert!(stats.dc_seeded, "non-publishers must not touch the donor");
-        assert_eq!(stats.dc_donor_refreshes, 0);
-        assert_eq!(stats.dc_stale_refactorizations, 4);
-        assert!(topology.dc_stale_rate() > 0.5);
-
-        // Barrier refresh: below the observed rate nothing happens; at a
-        // lower threshold the donor is dropped (and counted) so the next
-        // publisher re-donates.
-        assert!(!topology.clear_dc_donor_if_stale(1.0));
-        assert!(topology.clear_dc_donor_if_stale(0.5));
-        let stats = topology.seed_stats();
-        assert!(!stats.dc_seeded);
-        assert_eq!(stats.dc_donor_refreshes, 1);
-        // Re-clearing without new staleness is a no-op.
-        assert!(!topology.clear_dc_donor_if_stale(0.5));
-
-        // The next publisher fills the empty slot with excursion-fresh
-        // pivots and consumers stop re-pivoting.
-        let republished = linear.prepare(&hostile_matrix()).unwrap();
-        topology.note_dc_factorization(&republished, true, 0.5);
-        assert!(topology.seed_stats().dc_seeded);
-        let seed = topology.dc_donor.seed();
-        let consumer = linear
-            .prepare_seeded(&hostile_matrix(), seed.as_ref())
-            .unwrap();
-        assert_eq!(consumer.direct_stale_fallbacks(), 0);
-    }
-
-    #[test]
-    fn sweep_length_does_not_dilute_the_stale_rate() {
-        // An AC operator reports once per grid point but consumes the donor
-        // only at its first frequency; if every report counted into the
-        // denominator, a 9-point sweep would pin the stale rate at ~1/9 per
-        // stale sample and the 0.5 threshold would be unreachable.
-        let slot = DonorSlot::default();
-        let mut donor_sym = SymbolicLu::analyze(&donor_matrix()).unwrap();
-        donor_sym.factor(&donor_matrix()).unwrap();
-        slot.note(Some(&donor_sym), true, 0, true, 0.5);
-        assert!(slot.is_published());
-
-        // Eight later grid points of a sweeping consumer: stale-free,
-        // non-counting — the window must stay empty.
-        for _ in 0..8 {
-            slot.note(None, false, 0, false, 0.5);
-        }
-        assert_eq!(slot.stale_rate(), 0.0);
-        assert_eq!(slot.window_reports.load(Ordering::Relaxed), 0);
-
-        // The consumer's first (seed-consuming) report went stale: one
-        // stale over one counted report crosses the threshold even though
-        // nine reports arrived in total, and a publishing consumer
-        // replaces the donor.
-        let mut fresh = SymbolicLu::analyze(&hostile_matrix()).unwrap();
-        fresh.factor(&hostile_matrix()).unwrap();
-        slot.note(Some(&fresh), true, 1, true, 0.5);
-        assert_eq!(slot.refreshes.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn infinite_refresh_rate_pins_the_first_donor() {
-        let s = parallel_plate(1.0);
-        let topology = SolverTopology::build(&s).unwrap();
-        let linear = LinearSolver::new(SolverKind::DirectLu);
-        let donor = linear.prepare(&donor_matrix()).unwrap();
-        topology.note_dc_factorization(&donor, true, f64::INFINITY);
-        for _ in 0..3 {
-            let seed = topology.dc_donor.seed();
-            let stale = linear
-                .prepare_seeded(&hostile_matrix(), seed.as_ref())
-                .unwrap();
-            topology.note_dc_factorization(&stale, true, f64::INFINITY);
-        }
-        let stats = topology.seed_stats();
-        assert_eq!(stats.dc_donor_refreshes, 0);
         assert_eq!(stats.dc_stale_refactorizations, 3);
+        assert_eq!(stats.dc_donor_refreshes, 0);
+        // Still the diagonal donor: a donor-friendly consumer stays on its
+        // pivots, while a hostile one still re-pivots.
+        let friendly = linear
+            .prepare_seeded(&donor_matrix(), topology.dc_donor.donor.get())
+            .unwrap();
+        assert_eq!(friendly.direct_stale_fallbacks(), 0);
+        let hostile = linear
+            .prepare_seeded(&hostile_matrix(), topology.dc_donor.donor.get())
+            .unwrap();
+        assert_eq!(hostile.direct_stale_fallbacks(), 1);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub const PAR_FAMILY: &[&str] = &[
     "par_map_with_chunk",
     "par_map_mut",
     "par_map_mut_with_chunk",
-    "par_map_indices",
     "par_map_init",
     "steal_indices",
     "solve_batch",

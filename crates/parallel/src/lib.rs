@@ -224,9 +224,10 @@ where
 /// [`par_map`] over **mutable** items: `f` receives `(index, &mut item)` and
 /// may update the item in place while producing an output.
 ///
-/// This is the fan-out primitive of the adaptive frequency sweeps: each
-/// collocation sample owns a persistent state (perturbed structure, cached
-/// DC operating point) that every refinement wave reuses and may extend.
+/// This is the fan-out primitive of every wave of the variational
+/// analysis: each sample owns a slot (its inputs, its containment status
+/// and, in adaptive sweeps, a persistent state — perturbed structure and
+/// cached DC operating point — that every refinement wave reuses).
 /// Item `i` still writes output slot `i` and is claimed by exactly one
 /// worker per call, so the results — and the mutated states — are
 /// bit-for-bit independent of the thread count as long as `f` is a pure
@@ -323,18 +324,6 @@ where
         let state = unsafe { &mut *states.0.add(worker) };
         f(state, index)
     })
-}
-
-/// Runs `f` for every index in `0..count` (no input slice) and collects the
-/// results in index order — convenience wrapper for seed-indexed sweeps like
-/// the Monte-Carlo reference.
-pub fn par_map_indices<U, F>(count: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let indices: Vec<usize> = (0..count).collect();
-    par_map(&indices, |_, &i| f(i))
 }
 
 #[cfg(test)]
@@ -555,13 +544,6 @@ mod tests {
                 assert_eq!(out, serial, "threads = {threads}, chunk = {chunk}");
             }
         }
-    }
-
-    #[test]
-    fn index_sweep_matches_slice_sweep() {
-        let by_index = par_map_indices(10, |i| i * i);
-        let squares: Vec<usize> = (0..10).map(|i| i * i).collect();
-        assert_eq!(by_index, squares);
     }
 
     #[test]

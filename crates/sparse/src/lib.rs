@@ -13,8 +13,6 @@
 //!   preconditioner.
 //! * [`BiCgStab`] and [`Gmres`] — preconditioned Krylov solvers for the
 //!   non-symmetric complex systems.
-//! * [`ConjugateGradient`] — for the symmetric positive-definite real systems
-//!   (pure electrostatic sub-problems).
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls style) direct sparse LU
 //!   with partial pivoting, used as a robust fallback and for smaller meshes.
 //! * [`SymbolicLu`] — the symbolic phase of the direct LU cached per
@@ -25,8 +23,8 @@
 //! * [`rcm`] and [`amd`] — reverse Cuthill–McKee and approximate minimum
 //!   degree orderings; [`SymbolicLu`] keeps whichever [`predicted_fill`]
 //!   scores better for the pattern at hand.
-//! * [`LinearSolver`] — a front-end that picks a strategy and reports
-//!   [`SolveReport`] statistics.
+//! * [`LinearSolver`] — a front-end that picks a strategy and prepares a
+//!   [`PreparedSolver`], whose solves report [`SolveReport`] statistics.
 //!
 //! # Example
 //!
@@ -48,7 +46,7 @@
 //! let a = t.to_csr();
 //! let b = vec![1.0; n];
 //! let solver = LinearSolver::new(SolverKind::Auto);
-//! let (x, report) = solver.solve(&a, &b)?;
+//! let (x, report) = solver.prepare(&a)?.solve(&b)?;
 //! assert!(report.residual_norm < 1e-8);
 //! assert_eq!(x.len(), n);
 //! # Ok::<(), vaem_sparse::SparseError>(())
@@ -58,7 +56,6 @@
 #![warn(rust_2018_idioms)]
 
 mod bicgstab;
-mod cg;
 mod csr;
 mod error;
 mod gmres;
@@ -71,7 +68,6 @@ mod symbolic;
 mod triplet;
 
 pub use bicgstab::{BiCgStab, BiCgStabWorkspace, KrylovOptions};
-pub use cg::{CgWorkspace, ConjugateGradient};
 pub use csr::{CsrMatrix, SparsityPattern};
 pub use error::SparseError;
 pub use gmres::{Gmres, GmresWorkspace};

@@ -5,13 +5,13 @@
 //! when the ILU-preconditioned Krylov solvers stagnate, and the default for
 //! small and medium meshes where its cost is negligible.
 //!
-//! [`SparseLu::new`] is the **cold one-shot path**: natural ordering, scalar
-//! column kernel, full pivot search per column. Anything that factorizes the
-//! same pattern more than once should go through [`crate::SymbolicLu`]
-//! instead, which adds fill-reducing ordering selection (RCM vs AMD), a
-//! supernode-blocked numeric phase and elimination-tree parallelism on top
-//! of the same factor representation — this type then serves as the shared
-//! triangular-solve container for both paths.
+//! [`SparseLu::new`] is a **cold natural-order factorization**: scalar
+//! column kernel, full pivot search per column. The solvers factorize
+//! through [`crate::SymbolicLu`], which adds fill-reducing ordering
+//! selection (RCM vs AMD), a supernode-blocked numeric phase and
+//! elimination-tree parallelism on top of the same factor representation;
+//! this type is the triangular-solve container of those factors, and
+//! `SparseLu::new` the independent reference its tests compare against.
 
 use crate::{CsrMatrix, SparseError};
 use vaem_numeric::Scalar;

@@ -1,8 +1,9 @@
 //! High-level linear-solver front-end.
 //!
 //! The FVM layer does not want to care about preconditioners, scalings and
-//! fallbacks; it hands a [`CsrMatrix`] and a right-hand side to
-//! [`LinearSolver`] and receives a solution plus a [`SolveReport`].
+//! fallbacks; it prepares a [`CsrMatrix`] once with [`LinearSolver`] and
+//! solves right-hand sides against the returned [`PreparedSolver`], each
+//! answered with a solution plus a [`SolveReport`].
 
 use crate::{
     BiCgStab, BiCgStabWorkspace, CsrMatrix, Gmres, GmresWorkspace, Ilu0, KrylovOptions,
@@ -130,8 +131,6 @@ pub enum SolverKind {
     DirectLu,
     /// ILU(0)-preconditioned BiCGSTAB only.
     IluBiCgStab,
-    /// ILU(0)-preconditioned restarted GMRES only.
-    IluGmres,
 }
 
 /// Statistics describing how a linear solve was performed.
@@ -159,7 +158,7 @@ pub struct SolveReport {
 /// let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0e7), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 3.0e-6)]);
 /// let b = vec![1.0, 1.0];
 /// let solver = LinearSolver::new(SolverKind::Auto);
-/// let (x, report) = solver.solve(&a, &b)?;
+/// let (x, report) = solver.prepare(&a)?.solve(&b)?;
 /// assert!(report.residual_norm < 1e-8);
 /// assert_eq!(x.len(), 2);
 /// # Ok::<(), vaem_sparse::SparseError>(())
@@ -237,113 +236,17 @@ impl LinearSolver {
         self.kind
     }
 
-    /// Solves `A·x = b` starting from a zero initial guess.
-    ///
-    /// # Errors
-    /// Propagates the underlying solver error if every configured strategy
-    /// fails.
-    pub fn solve<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &[T],
-    ) -> Result<(Vec<T>, SolveReport), SparseError> {
-        self.solve_with_guess(a, b, None)
-    }
-
-    /// Solves `A·x = b` using `x0` as the initial guess for the iterative
-    /// strategies (ignored by the direct solver).
-    ///
-    /// # Errors
-    /// Propagates the underlying solver error if every configured strategy
-    /// fails.
-    pub fn solve_with_guess<T: Scalar>(
-        &self,
-        a: &CsrMatrix<T>,
-        b: &[T],
-        x0: Option<&[T]>,
-    ) -> Result<(Vec<T>, SolveReport), SparseError> {
-        if a.rows() != a.cols() || b.len() != a.rows() {
-            return Err(SparseError::DimensionMismatch {
-                // vaem-lint: allow(H1) solver-failure message, error path only
-                detail: format!(
-                    "solver needs square A and matching rhs; got {}x{} with rhs {}",
-                    a.rows(),
-                    a.cols(),
-                    b.len()
-                ),
-            });
-        }
-        let (scaled, scaling) = RowColScaling::equilibrate(a);
-        let bs = scaling.scale_rhs(b);
-        let guess_scaled = x0.map(|g| scaling.scale_guess(g));
-
-        let finish = |x_scaled: Vec<T>, strategy: &'static str, iterations: usize| {
-            let mut x = scaling.unscale_solution(&x_scaled);
-            fault_poison(&mut x);
-            let resid = vecops::norm2(&a.residual(&x, b)) / vecops::norm2(b).max(1e-300);
-            (
-                x,
-                SolveReport {
-                    strategy,
-                    iterations,
-                    residual_norm: resid,
-                    dimension: a.rows(),
-                    nnz: a.nnz(),
-                },
-            )
-        };
-
-        let direct = || -> Result<(Vec<T>, &'static str, usize), SparseError> {
-            fault_check(FaultSite::Pivot)?;
-            let lu = SparseLu::new(&scaled)?;
-            Ok((lu.solve(&bs)?, "sparse-lu", 0))
-        };
-        let bicgstab = || -> Result<(Vec<T>, &'static str, usize), SparseError> {
-            fault_check(FaultSite::Ilu)?;
-            fault_check(FaultSite::Krylov)?;
-            let ilu = Ilu0::new(&scaled)?;
-            let solver = BiCgStab::new(self.options);
-            let (x, it) = solver.solve(&scaled, &bs, Some(&ilu), guess_scaled.as_deref())?;
-            Ok((x, "ilu0-bicgstab", it))
-        };
-        let gmres = || -> Result<(Vec<T>, &'static str, usize), SparseError> {
-            fault_check(FaultSite::Ilu)?;
-            fault_check(FaultSite::Krylov)?;
-            let ilu = Ilu0::new(&scaled)?;
-            let solver = Gmres::new(self.options);
-            let (x, it) = solver.solve(&scaled, &bs, Some(&ilu), guess_scaled.as_deref())?;
-            Ok((x, "ilu0-gmres", it))
-        };
-
-        let outcome = match self.kind {
-            SolverKind::DirectLu => direct(),
-            SolverKind::IluBiCgStab => bicgstab(),
-            SolverKind::IluGmres => gmres(),
-            SolverKind::Auto => {
-                if a.rows() <= self.direct_threshold {
-                    direct().or_else(|_| bicgstab()).or_else(|_| gmres())
-                } else {
-                    bicgstab().or_else(|_| gmres()).or_else(|_| direct())
-                }
-            }
-        }?;
-
-        let (x, strategy, iterations) = outcome;
-        Ok(finish(x, strategy, iterations))
-    }
-
     /// Equilibrates and factorizes `a` once, returning a [`PreparedSolver`]
     /// that can solve many right-hand sides against the same matrix.
     ///
     /// This is the fast path for workloads that solve one operator
     /// repeatedly — every terminal of a capacitance extraction, every
     /// frequency-sweep point reusing the previous factorization, and the
-    /// AC stage of the sample sweeps. The strategy choice mirrors
-    /// [`LinearSolver::solve`]: direct LU below the threshold (or when the
-    /// ILU(0) setup fails in `Auto` mode), ILU(0)-preconditioned Krylov
-    /// above it — and an `Auto` Krylov solve that fails even the GMRES
-    /// fallback is rescued by an on-demand direct LU, so the prepared path
-    /// is as robust as the one-shot chain.
+    /// AC stage of the sample sweeps. In `Auto` mode the strategy is the
+    /// direct LU below the threshold (or when the ILU(0) setup fails) and
+    /// ILU(0)-preconditioned BiCGSTAB above it; a BiCGSTAB solve that fails
+    /// falls back to GMRES with the same preconditioner and then to an
+    /// on-demand direct LU.
     ///
     /// # Errors
     /// Propagates factorization failures of the selected strategy.
@@ -427,7 +330,6 @@ impl LinearSolver {
                 state: ilu_state(&scaled)?,
                 gmres_fallback: false,
             },
-            SolverKind::IluGmres => Factorization::IluGmresOnly(ilu_state(&scaled)?),
             SolverKind::Auto => {
                 // A usable direct donor shifts the crossover: numeric-only
                 // seeded refactorization stays cheaper than a cold ILU(0)
@@ -510,8 +412,6 @@ enum Factorization<T: Scalar> {
         state: IluRefresh<T>,
         gmres_fallback: bool,
     },
-    /// ILU(0)-preconditioned GMRES only.
-    IluGmresOnly(IluRefresh<T>),
 }
 
 /// A direct sparse LU kept together with its symbolic phase (boxed inside
@@ -679,7 +579,6 @@ impl<T: Scalar> PreparedSolver<T> {
         match &self.factorization {
             Factorization::Direct(_) => "sparse-lu",
             Factorization::Ilu { .. } => "ilu0-bicgstab",
-            Factorization::IluGmresOnly(_) => "ilu0-gmres",
         }
     }
 
@@ -705,7 +604,6 @@ impl<T: Scalar> PreparedSolver<T> {
     pub fn ilu_donor(&self) -> Option<IluSeed<T>> {
         let state = match &self.factorization {
             Factorization::Ilu { state, .. } => state,
-            Factorization::IluGmresOnly(state) => state,
             Factorization::Direct(_) => return None,
         };
         Some(IluSeed {
@@ -730,7 +628,6 @@ impl<T: Scalar> PreparedSolver<T> {
     pub fn ilu_rebuilds(&self) -> u64 {
         match &self.factorization {
             Factorization::Ilu { state, .. } => state.rebuilds,
-            Factorization::IluGmresOnly(state) => state.rebuilds,
             Factorization::Direct(_) => 0,
         }
     }
@@ -787,7 +684,6 @@ impl<T: Scalar> PreparedSolver<T> {
                 }
             }
             Factorization::Ilu { state, .. } => state.stale = true,
-            Factorization::IluGmresOnly(state) => state.stale = true,
         }
         self.scaled = scaled;
         self.scaling = scaling;
@@ -827,8 +723,8 @@ impl<T: Scalar> PreparedSolver<T> {
         // escalation chain instead of one solver call.
         let inject_krylov = faults::armed(FaultSite::Krylov);
         // `None` after the match means "both Krylov strategies failed in
-        // Auto mode" — rescued by the direct LU below, mirroring the
-        // bicgstab → gmres → direct chain of [`LinearSolver::solve`].
+        // Auto mode" — rescued by the direct LU below, the last step of the
+        // bicgstab → gmres → direct chain.
         let mut outcome: Option<(Vec<T>, &'static str, usize)> = None;
         let Self {
             scaled,
@@ -890,37 +786,6 @@ impl<T: Scalar> PreparedSolver<T> {
                         }
                     }
                 }
-            }
-            Factorization::IluGmresOnly(state) => {
-                state.ensure_baselined(scaled);
-                let gmres = Gmres::new(*options);
-                let mut attempt = if inject_krylov {
-                    Err(forced_krylov())
-                } else {
-                    gmres.solve_with_workspace(
-                        scaled,
-                        &bs,
-                        Some(&state.ilu),
-                        guess_scaled.as_deref(),
-                        gmres_ws,
-                    )
-                };
-                if attempt.is_err()
-                    && !inject_krylov
-                    && state.stale
-                    && state.rebuild(scaled).is_ok()
-                {
-                    attempt = gmres.solve_with_workspace(
-                        scaled,
-                        &bs,
-                        Some(&state.ilu),
-                        guess_scaled.as_deref(),
-                        gmres_ws,
-                    );
-                }
-                let (y, it) = attempt?;
-                state.observe(it, "ilu0-gmres", scaled);
-                outcome = Some((y, "ilu0-gmres", it));
             }
         }
         let (y, strategy, iterations) = match outcome {
@@ -1131,7 +996,7 @@ mod tests {
         let a = laplacian_2d(8);
         let b = vec![1.0; a.rows()];
         let solver = LinearSolver::new(SolverKind::Auto);
-        let (_, report) = solver.solve(&a, &b).unwrap();
+        let (_, report) = solver.prepare(&a).unwrap().solve(&b).unwrap();
         assert_eq!(report.strategy, "sparse-lu");
         assert!(report.residual_norm < 1e-10);
     }
@@ -1141,7 +1006,7 @@ mod tests {
         let a = laplacian_2d(30); // 900 unknowns
         let b = vec![1.0; a.rows()];
         let solver = LinearSolver::new(SolverKind::Auto).with_direct_threshold(100);
-        let (_, report) = solver.solve(&a, &b).unwrap();
+        let (_, report) = solver.prepare(&a).unwrap().solve(&b).unwrap();
         assert_eq!(report.strategy, "ilu0-bicgstab");
         assert!(report.residual_norm < 1e-8);
         assert!(report.iterations > 0);
@@ -1153,16 +1018,16 @@ mod tests {
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.11).sin()).collect();
         let b = a.matvec(&x_true);
         for kind in [
+            SolverKind::Auto,
             SolverKind::DirectLu,
             SolverKind::IluBiCgStab,
-            SolverKind::IluGmres,
         ] {
             let solver = LinearSolver::new(kind).with_options(KrylovOptions {
                 tolerance: 1e-12,
                 max_iterations: 5000,
                 restart: 50,
             });
-            let (x, report) = solver.solve(&a, &b).unwrap();
+            let (x, report) = solver.prepare(&a).unwrap().solve(&b).unwrap();
             assert!(
                 vecops::relative_diff(&x, &x_true, 1e-30) < 1e-7,
                 "kind {kind:?} failed with report {report:?}"
@@ -1175,9 +1040,11 @@ mod tests {
         let a = laplacian_2d(20);
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.05).cos()).collect();
         let b = a.matvec(&x_true);
-        let solver = LinearSolver::new(SolverKind::IluBiCgStab);
-        let (_, cold) = solver.solve(&a, &b).unwrap();
-        let (_, warm) = solver.solve_with_guess(&a, &b, Some(&x_true)).unwrap();
+        let mut prepared = LinearSolver::new(SolverKind::IluBiCgStab)
+            .prepare(&a)
+            .unwrap();
+        let (_, cold) = prepared.solve(&b).unwrap();
+        let (_, warm) = prepared.solve_with_guess(&b, Some(&x_true)).unwrap();
         assert!(warm.iterations <= cold.iterations);
         assert_eq!(warm.iterations, 0);
     }
@@ -1201,7 +1068,7 @@ mod tests {
             .collect();
         let b = a.matvec(&x_true);
         let solver = LinearSolver::new(SolverKind::Auto);
-        let (x, report) = solver.solve(&a, &b).unwrap();
+        let (x, report) = solver.prepare(&a).unwrap().solve(&b).unwrap();
         assert!(
             vecops::relative_diff(&x, &x_true, 1e-30) < 1e-6,
             "report {report:?}"
@@ -1213,7 +1080,6 @@ mod tests {
         for (kind, nx, expect) in [
             (SolverKind::Auto, 8, "sparse-lu"),
             (SolverKind::IluBiCgStab, 14, "ilu0-bicgstab"),
-            (SolverKind::IluGmres, 10, "ilu0-gmres"),
         ] {
             let a = laplacian_2d(nx);
             let solver = LinearSolver::new(kind);
@@ -1226,7 +1092,7 @@ mod tests {
                     .collect();
                 let b = a.matvec(&x_true);
                 let (x, report) = prepared.solve(&b).unwrap();
-                let (x_ref, _) = solver.solve(&a, &b).unwrap();
+                let (x_ref, _) = solver.prepare(&a).unwrap().solve(&b).unwrap();
                 assert!(
                     vecops::relative_diff(&x, &x_true, 1e-30) < 1e-7,
                     "kind {kind:?} rhs {t} report {report:?}"
@@ -1255,7 +1121,7 @@ mod tests {
     fn prepared_auto_rescues_krylov_failure_with_direct_lu() {
         // A one-iteration budget at an unreachable tolerance makes both
         // BiCGSTAB and GMRES fail; Auto must still answer via the direct
-        // LU (and keep it for later solves), like the one-shot chain does.
+        // LU (and keep it for later solves).
         let a = laplacian_2d(25); // 625 unknowns, above the direct threshold
         let solver = LinearSolver::new(SolverKind::Auto).with_options(KrylovOptions {
             tolerance: 1e-16,
@@ -1308,13 +1174,6 @@ mod tests {
         let b = a.matvec(&x_true);
 
         let solver = LinearSolver::new(SolverKind::Auto).with_direct_threshold(8);
-        let (x, report) = solver.solve(&a, &b).unwrap();
-        assert!(
-            vecops::relative_diff(&x, &x_true, 1e-30) < 1e-7,
-            "one-shot chain returned a bad iterate: report {report:?}"
-        );
-        assert!(report.residual_norm < 1e-8, "report {report:?}");
-
         let mut prepared = solver.prepare(&a).unwrap();
         let (xp, report_p) = prepared.solve(&b).unwrap();
         assert!(
@@ -1327,14 +1186,11 @@ mod tests {
     #[test]
     fn exactly_singular_rotation_blocks_escalate_to_the_direct_lu() {
         // A structurally present but exactly zero diagonal defeats ILU(0),
-        // so both chains must escalate to the (pivoting) direct LU.
+        // so the prepared chain must escalate to the (pivoting) direct LU.
         let a = coupled_rotation_blocks(40, 0.0);
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.3).sin()).collect();
         let b = a.matvec(&x_true);
         let solver = LinearSolver::new(SolverKind::Auto).with_direct_threshold(8);
-        let (x, report) = solver.solve(&a, &b).unwrap();
-        assert_eq!(report.strategy, "sparse-lu");
-        assert!(vecops::relative_diff(&x, &x_true, 1e-30) < 1e-8);
         let mut prepared = solver.prepare(&a).unwrap();
         assert_eq!(prepared.strategy(), "sparse-lu");
         let (xp, _) = prepared.solve(&b).unwrap();
@@ -1363,7 +1219,7 @@ mod tests {
         assert_eq!(report.strategy, "sparse-lu");
         assert!(vecops::relative_diff(&x, &x_true, 1e-30) < 1e-8);
         // And the refactored operator matches a from-scratch solve.
-        let (x_ref, _) = solver.solve(&shifted, &b).unwrap();
+        let (x_ref, _) = solver.prepare(&shifted).unwrap().solve(&b).unwrap();
         assert!(vecops::relative_diff(&x, &x_ref, 1e-30) < 1e-8);
     }
 
@@ -1683,10 +1539,17 @@ mod tests {
 
     #[test]
     fn mismatched_rhs_is_rejected() {
-        let a = laplacian_2d(4);
+        // A non-square matrix cannot be prepared, and a prepared solver
+        // rejects a right-hand side of the wrong length even with a guess.
         let solver = LinearSolver::default();
+        let wide = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (1, 1, 1.0)]);
         assert!(matches!(
-            solver.solve(&a, &[1.0, 2.0]),
+            solver.prepare(&wide),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        let mut prepared = solver.prepare(&laplacian_2d(4)).unwrap();
+        assert!(matches!(
+            prepared.solve_with_guess(&[1.0, 2.0], Some(&[0.0, 0.0])),
             Err(SparseError::DimensionMismatch { .. })
         ));
     }
@@ -1731,10 +1594,12 @@ mod tests {
                     "the injected breakdown must be answered by the direct rescue"
                 );
             }
-            // Cross-check against an independent one-shot solve outside any
-            // fault scope.
+            // Cross-check against an independent direct solve, which no
+            // `krylov` fault reaches.
             let (x_ref, _) = LinearSolver::new(SolverKind::DirectLu)
-                .solve(a, &b)
+                .prepare(a)
+                .unwrap()
+                .solve(&b)
                 .unwrap();
             assert!(
                 vecops::relative_diff(&x, &x_ref, 1e-30) < 1e-6,

@@ -1,9 +1,9 @@
 //! Tier-1 guarantees of the fault-injection and quarantine layer: with a
-//! `VAEM_FAULTS` plan installed, the TSV-array statistics run completes
-//! instead of aborting, its `HealthReport` records exactly the injected
-//! failures, and both the statistics and the report are bit-identical at
-//! `VAEM_THREADS=1` and `4` — injection is keyed by `(stage, sample index)`,
-//! never by thread identity.
+//! `VAEM_FAULTS` plan installed, the TSV-array statistics run and the
+//! adaptive frequency sweep complete instead of aborting, their
+//! `HealthReport`s record exactly the injected failures, and both the
+//! results and the reports are bit-identical at `VAEM_THREADS=1` and `4` —
+//! injection is keyed by `(stage, sample index)`, never by thread identity.
 //!
 //! This file intentionally holds a single test: it mutates the process-wide
 //! `VAEM_FAULTS`/`VAEM_THREADS`/`VAEM_CHUNK` variables, so no other test may
@@ -11,7 +11,11 @@
 
 use vaem::experiments::tsv_array::TsvArrayExperiment;
 use vaem::health::{FailureKind, SampleStage};
-use vaem::AnalysisResult;
+use vaem::mesh::structures::metalplug::{build_metalplug_structure, MetalPlugConfig};
+use vaem::{
+    result_digest, AdaptiveSweepOptions, AdaptiveSweepResult, AnalysisConfig, AnalysisResult,
+    DopingVariationConfig, QuantitySet, VariationSpec, VariationalAnalysis,
+};
 
 /// A 2×2 array trimmed for test runtime (the `tsv_array_determinism`
 /// sizing): one retained factor per via group and 4 MC runs.
@@ -20,6 +24,88 @@ fn tiny_experiment() -> TsvArrayExperiment {
     experiment.mc_runs = 4;
     experiment.max_reduced_per_group = 1;
     experiment
+}
+
+/// The adaptive sweep of the `adaptive_sweep_direct` benchmark workload:
+/// the tiny, lightly doped metal plug with doping-only variation.
+fn adaptive_analysis() -> VariationalAnalysis {
+    let structure = build_metalplug_structure(&MetalPlugConfig::tiny());
+    let mut config = AnalysisConfig::new(QuantitySet::InterfaceCurrent {
+        terminal: "plug1".to_string(),
+    });
+    config.nominal_donor = 2.0e1;
+    config.energy_fraction = 0.9;
+    config.max_reduced_per_group = 2;
+    config.variations = VariationSpec {
+        roughness: None,
+        doping: Some(DopingVariationConfig {
+            max_nodes: 10,
+            ..DopingVariationConfig::paper_default()
+        }),
+        via_params: None,
+    };
+    VariationalAnalysis::new(structure, config)
+}
+
+/// Runs the benchmark's adaptive sweep (9 log-spaced points over
+/// 0.1–10 GHz, 6 % tolerance) under the current fault plan at 1 and 4
+/// threads, asserts that the spectra and the health report agree bit for
+/// bit, and returns the 1-thread result with its values-only digest.
+fn adaptive_sweep_at_1_and_4_threads() -> (AdaptiveSweepResult, String) {
+    let span = (1.0e10_f64 / 1.0e8).ln();
+    let coarse: Vec<f64> = (0..9)
+        .map(|i| 1.0e8 * (span * i as f64 / 8.0).exp())
+        .collect();
+    let options = AdaptiveSweepOptions {
+        rel_tolerance: 0.06,
+        max_points: 96,
+        max_depth: 6,
+    };
+    let analysis = adaptive_analysis();
+    let digest = |result: &AdaptiveSweepResult| {
+        let sweep = &result.sweep;
+        let mut values = sweep.frequencies.clone();
+        for q in &sweep.quantities {
+            values.extend_from_slice(&q.nominal);
+            for s in &q.sscm {
+                values.extend([s.mean, s.std]);
+            }
+        }
+        result_digest(values)
+    };
+    std::env::set_var("VAEM_THREADS", "1");
+    let serial = analysis
+        .run_adaptive_frequency_sweep(&coarse, &options)
+        .expect("faulted adaptive sweep must still complete");
+    std::env::set_var("VAEM_THREADS", "4");
+    let parallel = analysis
+        .run_adaptive_frequency_sweep(&coarse, &options)
+        .expect("faulted parallel adaptive sweep");
+    let values = digest(&serial);
+    assert_eq!(
+        values,
+        digest(&parallel),
+        "faulted spectra changed between VAEM_THREADS=1 and 4"
+    );
+    assert_eq!(
+        serial.sweep.health, parallel.sweep.health,
+        "the sweep's health report changed between VAEM_THREADS=1 and 4"
+    );
+    (serial, values)
+}
+
+/// `(index, kind)` of every recovered sample, in report order.
+fn recovered(result: &AdaptiveSweepResult) -> Vec<(usize, FailureKind)> {
+    result
+        .sweep
+        .health
+        .recovered
+        .iter()
+        .map(|r| {
+            assert_eq!(r.stage, SampleStage::Sscm);
+            (r.index, r.kind)
+        })
+        .collect()
 }
 
 /// Exact (bit-level) fingerprint of the statistics a run reports.
@@ -131,6 +217,35 @@ fn injected_faults_are_contained_deterministically_across_thread_counts() {
         experiment.run().is_err(),
         "a sticky nominal fault must hard-fail the run"
     );
+
+    // The adaptive sweep contains failures through the same waves: sample
+    // 1's sticky mesh fault is quarantined (its retry rebuilds the mesh and
+    // fails again), sample 2's one-shot NaN is recovered and escalated, and
+    // the refinement still ends with 28 points after 2 waves.
+    std::env::set_var("VAEM_FAULTS", "mesh@sscm:1!,nan@sscm:2");
+    let (sweep, _) = adaptive_sweep_at_1_and_4_threads();
+    let health = &sweep.sweep.health;
+    assert_eq!(health.quarantined_indices(SampleStage::Sscm), vec![1]);
+    assert_eq!(health.quarantined.len(), 1);
+    assert_eq!(health.quarantined[0].kind, FailureKind::MeshDegenerate);
+    assert_eq!(recovered(&sweep), vec![(2, FailureKind::NonFinite)]);
+    assert_eq!(sweep.sweep.frequencies.len(), 28);
+    assert_eq!(sweep.waves, 2);
+
+    // Two recoverable faults are listed in ascending sample order, as
+    // `run` lists them, and leave the spectra as a recovery retry computes
+    // them.
+    std::env::set_var("VAEM_FAULTS", "nan@sscm:3,mesh@sscm:5");
+    let (sweep, values) = adaptive_sweep_at_1_and_4_threads();
+    assert!(sweep.sweep.health.quarantined.is_empty());
+    assert_eq!(
+        recovered(&sweep),
+        vec![
+            (3, FailureKind::NonFinite),
+            (5, FailureKind::MeshDegenerate)
+        ]
+    );
+    assert_eq!(values, "65f349d9a2764524");
 
     // And with the plan cleared the same process produces a healthy run.
     std::env::remove_var("VAEM_FAULTS");
