@@ -69,6 +69,27 @@ fn bench_solvers(c: &mut Criterion) {
     group.finish();
 }
 
+/// One prepared ILU(0)+BiCGSTAB solve of a fixed complex operator of 4096
+/// unknowns: the per-right-hand-side cost every capacitance column and
+/// sweep point pays, with `prepare` (equilibration and the ILU(0) build)
+/// outside the timed closure. Each call runs the same 17 iterations from a
+/// zero guess, so the key times the Krylov kernels alone: the two ILU(0)
+/// sweeps, the two mat-vecs and the vector updates and reductions of every
+/// iteration.
+fn bench_prepared_krylov_solve(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sparse_solvers");
+    group.sample_size(10);
+    let a = fvm_like_matrix(16);
+    let b = vec![Complex64::ONE; a.rows()];
+    let mut prepared = LinearSolver::new(SolverKind::IluBiCgStab)
+        .prepare(&a)
+        .expect("prepare");
+    group.bench_function(BenchmarkId::new("PreparedIluBiCgStab", a.rows()), |bench| {
+        bench.iter(|| prepared.solve(&b).expect("prepared solve"));
+    });
+    group.finish();
+}
+
 /// An AC-like slab system: `n_side × n_side` laterally, `layers` cells
 /// deep (the aspect ratio of the TSV structure meshes), with the shifted
 /// lossy-Helmholtz character of the coupled A–V equations at frequency —
@@ -173,5 +194,10 @@ fn bench_seeded_crossover(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solvers, bench_seeded_crossover);
+criterion_group!(
+    benches,
+    bench_solvers,
+    bench_prepared_krylov_solve,
+    bench_seeded_crossover
+);
 criterion_main!(benches);

@@ -6,7 +6,7 @@ use crate::{AcSolution, DcSolution, FvmError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use vaem_mesh::{LinkId, Material, NodeId, Structure};
+use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
 use vaem_numeric::Complex64;
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
 use vaem_sparse::{
@@ -351,11 +351,25 @@ impl<'a> CoupledSolver<'a> {
                 ),
             });
         }
+        // Each node's dual lengths along X, Y and Z, computed once: a link's
+        // dual area needs four of them, and every node has up to six links.
+        // The area below forms the same products in the same order as
+        // `CartesianMesh::dual_area`.
+        let dual: Vec<[f64; 3]> = mesh
+            .node_ids()
+            .map(|node| Axis::ALL.map(|axis| mesh.dual_length(node, axis)))
+            .collect();
         let mut link_factor = vec![0.0; mesh.link_count()];
         for lid in mesh.link_ids() {
             let length = mesh.link_length(lid);
             link_factor[lid.index()] = if length > 1e-12 {
-                mesh.dual_area(lid) / length
+                let link = mesh.link(lid);
+                let [p, q] = link.axis.perpendicular().map(Axis::as_usize);
+                let area_of = |node: NodeId| {
+                    let d = &dual[node.index()];
+                    d[p] * d[q]
+                };
+                0.5 * (area_of(link.from) + area_of(link.to)) / length
             } else {
                 0.0
             };
@@ -1287,6 +1301,23 @@ mod tests {
         let c_mutual = i_bottom.im / ac.omega;
         assert!(c_mutual < 0.0);
         assert!(c_mutual.abs() > 0.5 * c_self);
+    }
+
+    #[test]
+    fn link_factors_equal_the_mesh_dual_areas_bit_for_bit() {
+        use vaem_mesh::structures::metalplug::{build_metalplug_structure, MetalPlugConfig};
+        let s = build_metalplug_structure(&MetalPlugConfig::coarse());
+        let doping = DopingProfile::undoped(s.mesh.node_count());
+        let solver = CoupledSolver::new(&s, &doping, SolverOptions::default()).unwrap();
+        for lid in s.mesh.link_ids() {
+            let length = s.mesh.link_length(lid);
+            let want = if length > 1e-12 {
+                s.mesh.dual_area(lid) / length
+            } else {
+                0.0
+            };
+            assert_eq!(solver.link_factor[lid.index()].to_bits(), want.to_bits());
+        }
     }
 
     #[test]

@@ -28,9 +28,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// Fan-out primitives, and the batched solves built on them, whose closure
 /// arguments run on worker threads and become hot-path roots.
 pub const PAR_FAMILY: &[&str] = &[
-    "par_map",
-    "par_map_with",
-    "par_map_with_chunk",
     "par_map_mut",
     "par_map_mut_with_chunk",
     "par_map_init",
@@ -122,7 +119,7 @@ impl FnInfo {
 pub struct ParRoot {
     /// File index into [`Workspace::files`].
     pub file: usize,
-    /// Name of the primitive (`par_map`, …).
+    /// Name of the primitive (`par_map_mut`, …).
     pub primitive: String,
     /// 1-based line of the call.
     pub line: usize,
@@ -895,16 +892,16 @@ mod tests {
         let w = ws(&[(
             "crates/core/src/run.rs",
             r#"
-use vaem_parallel::par_map;
+use vaem_parallel::par_map_mut;
 fn worker(x: u32) -> u32 { helper(x) }
 fn helper(x: u32) -> u32 { let v = Vec::new(); v.len() as u32 + x }
-pub fn run(xs: &[u32]) -> Vec<u32> {
-    par_map(2, 1, xs, |x| worker(*x))
+pub fn run(xs: &mut [u32]) -> Vec<u32> {
+    par_map_mut(xs, |_, x| worker(*x))
 }
 "#,
         )]);
         assert_eq!(w.par_roots.len(), 1);
-        assert_eq!(w.par_roots[0].primitive, "par_map");
+        assert_eq!(w.par_roots[0].primitive, "par_map_mut");
         assert_eq!(w.par_roots[0].enclosing.as_deref(), Some("run"));
         let reached = w.reach(&w.hot_roots(), &|f| f.is_cold);
         let names: BTreeSet<String> = reached.keys().map(|&n| w.label(n)).collect();
@@ -927,12 +924,12 @@ pub fn run(xs: &[u32]) -> Vec<u32> {
         let w = ws(&[(
             "crates/core/src/run.rs",
             r#"
-use vaem_parallel::par_map;
+use vaem_parallel::par_map_mut;
 /// Amortized setup.
 // vaem-lint: cold per-sample setup, amortized over the solve
 fn setup(x: u32) -> Vec<u32> { vec![x] }
-pub fn run(xs: &[u32]) -> Vec<u32> {
-    par_map(2, 1, xs, |x| setup(*x).len() as u32)
+pub fn run(xs: &mut [u32]) -> Vec<u32> {
+    par_map_mut(xs, |_, x| setup(*x).len() as u32)
 }
 "#,
         )]);

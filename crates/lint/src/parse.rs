@@ -693,7 +693,7 @@ mod tests {
     fn finds_fns_mods_impls_and_uses() {
         let src = r#"
 use std::collections::BTreeMap;
-use vaem_parallel::{par_map, env as penv};
+use vaem_parallel::{par_map_mut, env as penv};
 
 pub fn free(x: u32) -> Result<u32, String> { Ok(x) }
 

@@ -379,10 +379,10 @@ mod tests {
         let sources = vec![(
             "crates/core/src/run.rs".to_string(),
             r#"
-use vaem_parallel::par_map;
+use vaem_parallel::par_map_mut;
 fn worker(x: u32) -> u32 { scratch(x) }
 fn scratch(x: u32) -> u32 { let v: Vec<u32> = Vec::new(); v.len() as u32 + x }
-pub fn run(xs: &[u32]) -> Vec<u32> { par_map(2, 1, xs, |x| worker(*x)) }
+pub fn run(xs: &mut [u32]) -> Vec<u32> { par_map_mut(xs, |_, x| worker(*x)) }
 "#
             .to_string(),
         )];
@@ -393,7 +393,7 @@ pub fn run(xs: &[u32]) -> Vec<u32> { par_map(2, 1, xs, |x| worker(*x)) }
         assert_eq!(h1.line, 4);
         assert!(h1.message.contains("hot path:"), "{}", h1.message);
         assert!(
-            h1.message.contains("par_map closure") && h1.message.contains("worker"),
+            h1.message.contains("par_map_mut closure") && h1.message.contains("worker"),
             "trace must show the chain: {}",
             h1.message
         );
@@ -404,9 +404,9 @@ pub fn run(xs: &[u32]) -> Vec<u32> { par_map(2, 1, xs, |x| worker(*x)) }
         let out = findings_for(&[(
             "crates/core/src/run.rs",
             r#"
-use vaem_parallel::par_map;
+use vaem_parallel::par_map_mut;
 fn work(s: &String) -> usize { let t = s.clone(); println!("{t}"); t.len() }
-pub fn run(xs: &[String]) -> Vec<usize> { par_map(2, 1, xs, |s| work(s)) }
+pub fn run(xs: &mut [String]) -> Vec<usize> { par_map_mut(xs, |_, s| work(s)) }
 "#,
         )]);
         let fs = &out["crates/core/src/run.rs"];

@@ -2,7 +2,7 @@
 //! and lock sites through one level of calls.
 
 pub fn drive(xs: &mut [f64]) {
-    par_map(xs, |x| helper(*x));
+    par_map_mut(xs, |_, x| helper(*x));
 }
 
 fn helper(x: f64) -> f64 {

@@ -41,7 +41,7 @@ fn hot_path_fixture_yields_exact_triples_with_traces() {
     for (_, f) in &report.violations {
         assert!(
             f.message
-                .contains("hot path: par_map closure (crates/sparse/src/bad_hot_path.rs:5"),
+                .contains("hot path: par_map_mut closure (crates/sparse/src/bad_hot_path.rs:5"),
             "missing root in trace: {}",
             f.message
         );

@@ -13,8 +13,97 @@
 //! results only within the usual accumulation-order tolerance (the
 //! property tests in this module bound the difference against the scalar
 //! reference).
+//!
+//! Every reduction sums its terms through [`lane_sum`] (or [`lane_sum2`]
+//! for two sums taken in one pass), the single definition of that
+//! accumulation order. A loop that computes its terms itself — a fused
+//! Krylov update that writes a vector and reduces it in the same pass —
+//! therefore reproduces `dot`, `dotu` and `norm2` bit for bit.
 
 use crate::Scalar;
+
+/// Sums `term(0) + … + term(n − 1)` in the accumulation order of [`dot`],
+/// [`dotu`] and [`norm2`], calling `term` once per index in ascending
+/// order.
+///
+/// With the `fast-vecops` feature the first `n − n % 4` terms go to four
+/// lanes, term `i` to lane `i % 4`, the rest to a tail, combined as
+/// `(l0 + l1) + (l2 + l3) + tail`; without it the terms form one
+/// sequential sum. Either way each lane starts from zero, so a fused loop
+/// that produces the same terms gets the same bits as the standalone
+/// reduction.
+#[inline(always)]
+pub fn lane_sum<A: Scalar>(n: usize, term: impl FnMut(usize) -> A) -> A {
+    #[cfg(feature = "fast-vecops")]
+    {
+        lanes::four(n, A::zero(), |a, b| a + b, term)
+    }
+    #[cfg(not(feature = "fast-vecops"))]
+    {
+        lanes::sequential(n, A::zero(), |a, b| a + b, term)
+    }
+}
+
+/// Two [`lane_sum`]s taken in one pass: `term(i)` yields the `i`-th term of
+/// each, and each component is accumulated exactly as [`lane_sum`] would
+/// accumulate it alone.
+#[inline(always)]
+pub fn lane_sum2<A: Scalar, B: Scalar>(n: usize, term: impl FnMut(usize) -> (A, B)) -> (A, B) {
+    let zero = (A::zero(), B::zero());
+    let add = |a: (A, B), b: (A, B)| (a.0 + b.0, a.1 + b.1);
+    #[cfg(feature = "fast-vecops")]
+    {
+        lanes::four(n, zero, add, term)
+    }
+    #[cfg(not(feature = "fast-vecops"))]
+    {
+        lanes::sequential(n, zero, add, term)
+    }
+}
+
+/// The two accumulation orders [`lane_sum`] selects between. Both are
+/// always compiled (the property tests pin each against its reference
+/// kernel); the feature flag only selects which one the public entry
+/// points use, hence the `dead_code` allowance on the de-selected one.
+#[allow(dead_code)]
+mod lanes {
+    #[inline(always)]
+    pub fn four<A: Copy>(
+        n: usize,
+        zero: A,
+        add: impl Fn(A, A) -> A,
+        mut term: impl FnMut(usize) -> A,
+    ) -> A {
+        let mut lane = [zero; 4];
+        let blocks = n / 4;
+        for block in 0..blocks {
+            let i = 4 * block;
+            lane[0] = add(lane[0], term(i));
+            lane[1] = add(lane[1], term(i + 1));
+            lane[2] = add(lane[2], term(i + 2));
+            lane[3] = add(lane[3], term(i + 3));
+        }
+        let mut tail = zero;
+        for i in 4 * blocks..n {
+            tail = add(tail, term(i));
+        }
+        add(add(add(lane[0], lane[1]), add(lane[2], lane[3])), tail)
+    }
+
+    #[inline(always)]
+    pub fn sequential<A: Copy>(
+        n: usize,
+        zero: A,
+        add: impl Fn(A, A) -> A,
+        mut term: impl FnMut(usize) -> A,
+    ) -> A {
+        let mut acc = zero;
+        for i in 0..n {
+            acc = add(acc, term(i));
+        }
+        acc
+    }
+}
 
 /// Inner product `⟨x, y⟩ = Σ conj(xᵢ)·yᵢ` (conjugate-linear in the first slot).
 ///
@@ -22,14 +111,7 @@ use crate::Scalar;
 /// Panics if the slices have different lengths.
 pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    #[cfg(feature = "fast-vecops")]
-    {
-        kernels::dot_unrolled(x, y)
-    }
-    #[cfg(not(feature = "fast-vecops"))]
-    {
-        kernels::dot_scalar(x, y)
-    }
+    lane_sum(x.len(), |i| x[i].conj() * y[i])
 }
 
 /// Unconjugated dot product `Σ xᵢ·yᵢ` (used by some Krylov recurrences).
@@ -38,26 +120,12 @@ pub fn dot<T: Scalar>(x: &[T], y: &[T]) -> T {
 /// Panics if the slices have different lengths.
 pub fn dotu<T: Scalar>(x: &[T], y: &[T]) -> T {
     assert_eq!(x.len(), y.len(), "dotu: length mismatch");
-    #[cfg(feature = "fast-vecops")]
-    {
-        kernels::dotu_unrolled(x, y)
-    }
-    #[cfg(not(feature = "fast-vecops"))]
-    {
-        kernels::dotu_scalar(x, y)
-    }
+    lane_sum(x.len(), |i| x[i] * y[i])
 }
 
 /// Euclidean norm `‖x‖₂`.
 pub fn norm2<T: Scalar>(x: &[T]) -> f64 {
-    #[cfg(feature = "fast-vecops")]
-    {
-        kernels::sumsq_unrolled(x).sqrt()
-    }
-    #[cfg(not(feature = "fast-vecops"))]
-    {
-        kernels::sumsq_scalar(x).sqrt()
-    }
+    lane_sum(x.len(), |i| x[i].modulus_sqr()).sqrt()
 }
 
 /// Maximum modulus entry `‖x‖∞`.
@@ -81,15 +149,17 @@ pub fn axpy<T: Scalar>(a: T, x: &[T], y: &mut [T]) {
     }
 }
 
-/// The scalar and 4-lane-unrolled implementations behind the public
-/// entry points. Both variants are always compiled (the property tests
-/// compare them directly); the feature flag only selects which one the
-/// public functions dispatch to, hence the `dead_code` allowance on the
-/// de-selected half.
+/// The scalar and 4-lane-unrolled `axpy` behind the public entry point,
+/// plus the standalone reduction loops [`lane_sum`] replaced, kept as the
+/// test references it must reproduce bit for bit. Both `axpy` variants are
+/// always compiled (the property tests compare them directly); the feature
+/// flag only selects which one `axpy` dispatches to, hence the `dead_code`
+/// allowance on the de-selected half.
 #[allow(dead_code)]
 mod kernels {
     use crate::Scalar;
 
+    #[cfg(test)]
     pub fn dot_scalar<T: Scalar>(x: &[T], y: &[T]) -> T {
         let mut acc = T::zero();
         for (a, b) in x.iter().zip(y.iter()) {
@@ -98,6 +168,7 @@ mod kernels {
         acc
     }
 
+    #[cfg(test)]
     pub fn dot_unrolled<T: Scalar>(x: &[T], y: &[T]) -> T {
         let mut acc = [T::zero(); 4];
         let (xc, xr) = x.split_at(x.len() - x.len() % 4);
@@ -115,6 +186,7 @@ mod kernels {
         (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
     }
 
+    #[cfg(test)]
     pub fn dotu_scalar<T: Scalar>(x: &[T], y: &[T]) -> T {
         let mut acc = T::zero();
         for (a, b) in x.iter().zip(y.iter()) {
@@ -123,6 +195,7 @@ mod kernels {
         acc
     }
 
+    #[cfg(test)]
     pub fn dotu_unrolled<T: Scalar>(x: &[T], y: &[T]) -> T {
         let mut acc = [T::zero(); 4];
         let (xc, xr) = x.split_at(x.len() - x.len() % 4);
@@ -140,10 +213,12 @@ mod kernels {
         (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
     }
 
+    #[cfg(test)]
     pub fn sumsq_scalar<T: Scalar>(x: &[T]) -> f64 {
         x.iter().map(|v| v.modulus_sqr()).sum::<f64>()
     }
 
+    #[cfg(test)]
     pub fn sumsq_unrolled<T: Scalar>(x: &[T]) -> f64 {
         let mut acc = [0.0_f64; 4];
         let (xc, xr) = x.split_at(x.len() - x.len() % 4);
@@ -286,8 +361,9 @@ mod tests {
         //! Property tests pinning the unrolled kernels to the scalar
         //! reference: `axpy` bit-identical (element-wise, no
         //! re-association), the reductions within an accumulation-order
-        //! error bound of `Σ|xᵢ||yᵢ|`.
-        use super::super::kernels;
+        //! error bound of `Σ|xᵢ||yᵢ|`, and the lane accumulator bit-identical
+        //! to both reduction loops it replaced.
+        use super::super::{kernels, lanes};
         use crate::{Complex64, Scalar};
         use proptest::prelude::*;
 
@@ -319,6 +395,59 @@ mod tests {
                 .map(|(a, b)| a.modulus() * b.modulus())
                 .sum();
             (x.len() as f64 + 4.0) * f64::EPSILON * magnitude + 1e-300
+        }
+
+        /// Pins the lane accumulator to the standalone loops it replaced,
+        /// bit for bit: the 4-lane order to the unrolled kernels, the
+        /// sequential order to the scalar ones, the public reductions to
+        /// the order the `fast-vecops` feature selects, and [`lane_sum2`]
+        /// to two separate sums. `bits` maps a scalar to its bit pattern.
+        ///
+        /// [`lane_sum2`]: super::super::lane_sum2
+        fn assert_lanes_reproduce_the_references<T: Scalar>(
+            x: &[T],
+            y: &[T],
+            bits: impl Fn(T) -> Vec<u64>,
+        ) {
+            use super::super::{dot, dotu, lane_sum2, norm2};
+            let n = x.len();
+            let add = |a: T, b: T| a + b;
+            let addf = |a: f64, b: f64| a + b;
+            let dot_term = |i: usize| x[i].conj() * y[i];
+            let dotu_term = |i: usize| x[i] * y[i];
+            let sq_term = |i: usize| x[i].modulus_sqr();
+
+            let dot4 = lanes::four(n, T::zero(), add, dot_term);
+            let dotu4 = lanes::four(n, T::zero(), add, dotu_term);
+            let sq4 = lanes::four(n, 0.0, addf, sq_term);
+            assert_eq!(bits(dot4), bits(kernels::dot_unrolled(x, y)));
+            assert_eq!(bits(dotu4), bits(kernels::dotu_unrolled(x, y)));
+            assert_eq!(sq4.to_bits(), kernels::sumsq_unrolled(x).to_bits());
+
+            let dot1 = lanes::sequential(n, T::zero(), add, dot_term);
+            let dotu1 = lanes::sequential(n, T::zero(), add, dotu_term);
+            let sq1 = lanes::sequential(n, 0.0, addf, sq_term);
+            assert_eq!(bits(dot1), bits(kernels::dot_scalar(x, y)));
+            assert_eq!(bits(dotu1), bits(kernels::dotu_scalar(x, y)));
+            if n > 0 {
+                assert_eq!(sq1.to_bits(), kernels::sumsq_scalar(x).to_bits());
+            } else {
+                // `Iterator::sum` of no floats is −0.0; the lanes start at
+                // +0.0, as the dot products always did.
+                assert_eq!(sq1, kernels::sumsq_scalar(x));
+            }
+
+            let (want_dot, want_dotu, want_sq) = if cfg!(feature = "fast-vecops") {
+                (dot4, dotu4, sq4)
+            } else {
+                (dot1, dotu1, sq1)
+            };
+            assert_eq!(bits(dot(x, y)), bits(want_dot));
+            assert_eq!(bits(dotu(x, y)), bits(want_dotu));
+            assert_eq!(norm2(x).to_bits(), want_sq.sqrt().to_bits());
+            let (fused_dot, fused_sq) = lane_sum2(n, |i| (dot_term(i), sq_term(i)));
+            assert_eq!(bits(fused_dot), bits(want_dot));
+            assert_eq!(fused_sq.to_bits(), want_sq.to_bits());
         }
 
         proptest! {
@@ -354,6 +483,22 @@ mod tests {
                 prop_assert!(erru <= 2.0 * bound(&x, &y), "dotu err {erru}");
                 let errn = (kernels::sumsq_unrolled(&x) - kernels::sumsq_scalar(&x)).abs();
                 prop_assert!(errn <= 2.0 * bound(&x, &x), "sumsq err {errn}");
+            }
+
+            #[test]
+            fn lane_accumulator_reproduces_the_reductions_bit_for_bit(
+                seed in 0u64..10_000,
+                len in 0usize..67,
+                spread in 0.0f64..6.0,
+            ) {
+                let x = vector(seed, len, spread);
+                let y = vector(seed.wrapping_add(7), len, spread);
+                assert_lanes_reproduce_the_references(&x, &y, |v| vec![v.to_bits()]);
+                let cx = complex_vector(seed, len, spread);
+                let cy = complex_vector(seed.wrapping_add(13), len, spread);
+                assert_lanes_reproduce_the_references(&cx, &cy, |v| {
+                    vec![v.re.to_bits(), v.im.to_bits()]
+                });
             }
 
             #[test]

@@ -7,10 +7,11 @@
 //!
 //! Two properties the analysis layer relies on:
 //!
-//! * **Determinism** — [`par_map`] assigns item `i` of the input to slot `i`
-//!   of the output, and the mapped function receives the item index, so the
-//!   result is identical for any thread count (including 1). Randomness must
-//!   be derived from the item/index, never from thread identity or timing.
+//! * **Determinism** — [`par_map_mut`] assigns item `i` of the input to slot
+//!   `i` of the output, and the mapped function receives the item index, so
+//!   the result is identical for any thread count (including 1). Randomness
+//!   must be derived from the item/index, never from thread identity or
+//!   timing.
 //! * **Bounded threads** — the thread count comes from the `VAEM_THREADS`
 //!   environment variable when set (clamped to [1, 512]), otherwise from
 //!   [`std::thread::available_parallelism`].
@@ -170,59 +171,9 @@ where
         .collect()
 }
 
-/// Maps `f` over `items` on up to [`thread_count`] scoped threads.
-///
-/// `f` receives `(index, &item)` and its results are returned in input
-/// order; the output is bit-for-bit independent of the thread count as long
-/// as `f` itself is a pure function of its arguments. Work is claimed from a
-/// shared atomic-index queue (work stealing), so ragged per-item costs —
-/// samples whose Newton loops need more iterations than their neighbours' —
-/// do not serialize the sweep behind one unlucky contiguous chunk.
-///
-/// # Panics
-/// Propagates a panic from any worker thread.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_map_with(thread_count(), items, f)
-}
-
-/// [`par_map`] with an explicit thread count (mainly for tests and for
-/// callers that manage their own thread budget). The claim granularity is
-/// auto-tuned unless `VAEM_CHUNK` pins it.
-pub fn par_map_with<T, U, F>(threads: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let chunk = chunk_override().unwrap_or_else(|| auto_chunk(items.len(), threads.max(1)));
-    par_map_with_chunk(threads, chunk, items, f)
-}
-
-/// [`par_map_with`] with an explicit claim granularity, bypassing both the
-/// auto-tune and the `VAEM_CHUNK` override — the fully pinned variant used
-/// by the scheduler tests (no process-global environment involved).
-pub fn par_map_with_chunk<T, U, F>(threads: usize, chunk: usize, items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let threads = threads.clamp(1, MAX_THREADS).min(items.len().max(1));
-    if threads <= 1 || items.len() <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    steal_map(threads, chunk.max(1), items.len(), |_, index| {
-        f(index, &items[index])
-    })
-}
-
-/// [`par_map`] over **mutable** items: `f` receives `(index, &mut item)` and
-/// may update the item in place while producing an output.
+/// Maps `f` over **mutable** items on up to [`thread_count`] scoped
+/// threads: `f` receives `(index, &mut item)` and may update the item in
+/// place while producing an output. Results come back in input order.
 ///
 /// This is the fan-out primitive of every wave of the variational
 /// analysis: each sample owns a slot (its inputs, its containment status
@@ -282,7 +233,7 @@ where
 ///
 /// `f` receives `(&mut state, index)` and its results are returned in index
 /// order. Every index is claimed by exactly one worker through the same
-/// atomic-cursor discipline as [`par_map`], each state is owned by exactly
+/// atomic-cursor discipline as [`par_map_mut`], each state is owned by exactly
 /// one worker (no lock), and the call returns only after all workers have
 /// joined — so writes made by `f` happen-before everything after the call.
 /// With `threads <= 1` (or a single index) no thread is spawned and one
@@ -332,8 +283,8 @@ mod tests {
 
     #[test]
     fn maps_in_order_with_indices() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |i, &v| (i as u64) * 1000 + v);
+        let mut items: Vec<u64> = (0..100).collect();
+        let out = par_map_mut(&mut items, |i, &mut v| (i as u64) * 1000 + v);
         for (i, &o) in out.iter().enumerate() {
             assert_eq!(o, (i as u64) * 1000 + i as u64);
         }
@@ -341,26 +292,33 @@ mod tests {
 
     #[test]
     fn result_is_independent_of_thread_count() {
-        let items: Vec<f64> = (0..53).map(|i| i as f64 * 0.37).collect();
-        let f = |i: usize, x: &f64| (x.sin() * 1e6) + i as f64;
-        let serial = par_map_with(1, &items, f);
+        let mut items: Vec<f64> = (0..53).map(|i| i as f64 * 0.37).collect();
+        let f = |i: usize, x: &mut f64| (x.sin() * 1e6) + i as f64;
+        let serial = par_map_mut_with_chunk(1, 1, &mut items, f);
         for threads in [2, 3, 4, 7, 64] {
-            let parallel = par_map_with(threads, &items, f);
+            let chunk = auto_chunk(items.len(), threads);
+            let parallel = par_map_mut_with_chunk(threads, chunk, &mut items, f);
             assert_eq!(serial, parallel, "threads = {threads}");
         }
     }
 
     #[test]
     fn handles_empty_and_single_item_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |_, &v| v).is_empty());
-        assert_eq!(par_map(&[41u32], |_, &v| v + 1), vec![42]);
+        let mut empty: Vec<u32> = Vec::new();
+        assert!(par_map_mut_with_chunk(4, 1, &mut empty, |_, v| *v).is_empty());
+        assert_eq!(
+            par_map_mut_with_chunk(4, 1, &mut [41u32], |_, v| *v + 1),
+            vec![42]
+        );
     }
 
     #[test]
     fn more_threads_than_items_is_fine() {
-        let items = [1u32, 2, 3];
-        assert_eq!(par_map_with(100, &items, |_, &v| v * 2), vec![2, 4, 6]);
+        let mut items = [1u32, 2, 3];
+        assert_eq!(
+            par_map_mut_with_chunk(100, 1, &mut items, |_, v| *v * 2),
+            vec![2, 4, 6]
+        );
     }
 
     /// Adversarial cost skew: a handful of items are orders of magnitude
@@ -369,8 +327,8 @@ mod tests {
     /// combination.
     #[test]
     fn skewed_item_costs_keep_results_deterministic() {
-        let items: Vec<u64> = (0..61).collect();
-        let f = |i: usize, &v: &u64| {
+        let mut items: Vec<u64> = (0..61).collect();
+        let f = |i: usize, &mut v: &mut u64| {
             // Items 0, 20 and 40 spin ~1000x longer than the others, the
             // worst case for contiguous chunking.
             let spins = if v % 20 == 0 { 200_000 } else { 200 };
@@ -380,10 +338,10 @@ mod tests {
             }
             acc
         };
-        let serial = par_map_with_chunk(1, 1, &items, f);
+        let serial = par_map_mut_with_chunk(1, 1, &mut items, f);
         for threads in [2, 3, 4, 8] {
             for chunk in [1, 2, 7, 64] {
-                let stolen = par_map_with_chunk(threads, chunk, &items, f);
+                let stolen = par_map_mut_with_chunk(threads, chunk, &mut items, f);
                 assert_eq!(serial, stolen, "threads = {threads}, chunk = {chunk}");
             }
         }
@@ -392,9 +350,9 @@ mod tests {
     #[test]
     fn every_index_is_claimed_exactly_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let items: Vec<usize> = (0..997).collect();
+        let mut items: Vec<usize> = (0..997).collect();
         let hits: Vec<AtomicUsize> = (0..items.len()).map(|_| AtomicUsize::new(0)).collect();
-        let out = par_map_with_chunk(7, 3, &items, |i, &v| {
+        let out = par_map_mut_with_chunk(7, 3, &mut items, |i, &mut v| {
             hits[i].fetch_add(1, Ordering::Relaxed);
             v * 2
         });
@@ -576,16 +534,17 @@ mod tests {
 
     #[test]
     fn errors_can_be_collected_deterministically() {
-        let items: Vec<i32> = (0..20).collect();
-        let out: Result<Vec<i32>, String> = par_map_with(4, &items, |_, &v| {
-            if v == 13 {
-                Err(format!("bad item {v}"))
-            } else {
-                Ok(v)
-            }
-        })
-        .into_iter()
-        .collect();
+        let mut items: Vec<i32> = (0..20).collect();
+        let out: Result<Vec<i32>, String> =
+            par_map_mut_with_chunk(4, 1, &mut items, |_, &mut v| {
+                if v == 13 {
+                    Err(format!("bad item {v}"))
+                } else {
+                    Ok(v)
+                }
+            })
+            .into_iter()
+            .collect();
         assert_eq!(out.unwrap_err(), "bad item 13");
     }
 }

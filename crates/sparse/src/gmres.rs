@@ -142,14 +142,15 @@ impl Gmres {
         ws: &mut GmresWorkspace<T>,
     ) -> Result<(Vec<T>, usize), SparseError> {
         let n = a.rows();
-        if a.cols() != n || b.len() != n {
+        if a.cols() != n || b.len() != n || x0.is_some_and(|g| g.len() != n) {
             return Err(SparseError::DimensionMismatch {
                 // vaem-lint: allow(H1) dimension-mismatch error message, failure path only
                 detail: format!(
-                    "GMRES needs square A and matching rhs; got {}x{} with rhs {}",
+                    "GMRES needs square A and matching rhs and guess; got {}x{} with rhs {} and guess {:?}",
                     a.rows(),
                     a.cols(),
-                    b.len()
+                    b.len(),
+                    x0.map(<[T]>::len)
                 ),
             });
         }
@@ -157,11 +158,8 @@ impl Gmres {
         ws.reset(n, m);
         let bnorm = vecops::norm2(b).max(1e-300);
         let mut x = match x0 {
-            Some(x0) => {
-                assert_eq!(x0.len(), n, "initial guess length mismatch");
-                // vaem-lint: allow(H1) initial-guess copy, once per solve entry
-                x0.to_vec()
-            }
+            // vaem-lint: allow(H1) initial-guess copy, once per solve entry
+            Some(x0) => x0.to_vec(),
             // vaem-lint: allow(H1) zero initial guess, once per solve entry
             None => vec![T::zero(); n],
         };

@@ -10,7 +10,8 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with matrix–vector
 //!   products, diagonal extraction, scaling and transposition.
 //! * [`Ilu0`] — incomplete LU factorization with zero fill-in, used as a
-//!   preconditioner.
+//!   preconditioner; its factors are stored in level order so the
+//!   triangular sweeps run independent rows back to back.
 //! * [`BiCgStab`] and [`Gmres`] — preconditioned Krylov solvers for the
 //!   non-symmetric complex systems.
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls style) direct sparse LU
@@ -65,6 +66,8 @@ pub mod ordering;
 mod scaling;
 mod solver;
 mod symbolic;
+#[cfg(test)]
+mod test_support;
 mod triplet;
 
 pub use bicgstab::{BiCgStab, BiCgStabWorkspace, KrylovOptions};

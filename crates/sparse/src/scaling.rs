@@ -37,20 +37,25 @@ impl RowColScaling {
     pub fn equilibrate<T: Scalar>(a: &CsrMatrix<T>) -> (CsrMatrix<T>, Self) {
         let rows = a.rows();
         let cols = a.cols();
+        let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
+        // Every stored entry's modulus (a `hypot` for complex values),
+        // computed once for both passes.
+        let modulus: Vec<f64> = a.values().iter().map(|v| v.modulus()).collect();
         // Row scale from the max modulus of each row.
         let mut row = vec![1.0; rows];
         for r in 0..rows {
-            let max = a
-                .row_entries(r)
-                .map(|(_, v)| v.modulus())
+            let max = modulus[row_ptr[r]..row_ptr[r + 1]]
+                .iter()
+                .copied()
                 .fold(0.0, f64::max);
             row[r] = if max > 0.0 { 1.0 / max } else { 1.0 };
         }
         // Column scale from the max modulus after row scaling.
         let mut col_max = vec![0.0_f64; cols];
         for r in 0..rows {
-            for (c, v) in a.row_entries(r) {
-                col_max[c] = col_max[c].max(v.modulus() * row[r]);
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                let c = col_idx[k];
+                col_max[c] = col_max[c].max(modulus[k] * row[r]);
             }
         }
         let col: Vec<f64> = col_max

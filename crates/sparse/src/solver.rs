@@ -510,7 +510,7 @@ impl<T: Scalar> IluRefresh<T> {
             }
             let threshold = ILU_REFRESH_RATIO * base as f64 + ILU_REFRESH_SLACK as f64;
             if iterations as f64 > threshold {
-                if let Ok(fresh) = Ilu0::new(scaled) {
+                if let Ok(fresh) = self.ilu.refactor(scaled) {
                     self.ilu = fresh;
                     self.stale = false;
                     self.rebuilds += 1;
@@ -524,7 +524,7 @@ impl<T: Scalar> IluRefresh<T> {
     /// stale factors fails before escalating to the fallback chain).
     fn rebuild(&mut self, scaled: &CsrMatrix<T>) -> Result<(), SparseError> {
         fault_check(FaultSite::Ilu)?;
-        self.ilu = Ilu0::new(scaled)?;
+        self.ilu = self.ilu.refactor(scaled)?;
         self.stale = false;
         self.rebuilds += 1;
         self.baseline_iterations = None;
@@ -702,17 +702,24 @@ impl<T: Scalar> PreparedSolver<T> {
     /// Solves `A·x = b` starting the iterative strategies from `x0`.
     ///
     /// # Errors
-    /// Propagates solver failures.
+    /// * [`SparseError::DimensionMismatch`] when `b` or `x0` does not have
+    ///   the prepared dimension (checked under every strategy, before any
+    ///   work).
+    /// * Otherwise propagates solver failures.
     pub fn solve_with_guess(
         &mut self,
         b: &[T],
         x0: Option<&[T]>,
     ) -> Result<(Vec<T>, SolveReport), SparseError> {
         let n = self.scaled.rows();
-        if b.len() != n {
+        if b.len() != n || x0.is_some_and(|g| g.len() != n) {
             return Err(SparseError::DimensionMismatch {
                 // vaem-lint: allow(H1) solver-failure message, error path only
-                detail: format!("prepared solver dimension {n} but rhs has {}", b.len()),
+                detail: format!(
+                    "prepared solver dimension {n} but rhs has {} and guess {:?}",
+                    b.len(),
+                    x0.map(<[T]>::len)
+                ),
             });
         }
         let bs = self.scaling.scale_rhs(b);
@@ -1540,16 +1547,42 @@ mod tests {
     #[test]
     fn mismatched_rhs_is_rejected() {
         // A non-square matrix cannot be prepared, and a prepared solver
-        // rejects a right-hand side of the wrong length even with a guess.
+        // rejects a right-hand side of the wrong length even with a guess,
+        // and an initial guess of the wrong length under every strategy.
         let solver = LinearSolver::default();
         let wide = CsrMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (1, 1, 1.0)]);
         assert!(matches!(
             solver.prepare(&wide),
             Err(SparseError::DimensionMismatch { .. })
         ));
-        let mut prepared = solver.prepare(&laplacian_2d(4)).unwrap();
+        let a16 = laplacian_2d(4);
+        let mut prepared = solver.prepare(&a16).unwrap();
         assert!(matches!(
             prepared.solve_with_guess(&[1.0, 2.0], Some(&[0.0, 0.0])),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        for kind in [
+            SolverKind::Auto,
+            SolverKind::IluBiCgStab,
+            SolverKind::DirectLu,
+        ] {
+            let mut prepared = LinearSolver::new(kind).prepare(&a16).unwrap();
+            assert!(
+                matches!(
+                    prepared.solve_with_guess(&[1.0; 16], Some(&[0.0; 3])),
+                    Err(SparseError::DimensionMismatch { .. })
+                ),
+                "{kind:?}"
+            );
+        }
+        let ilu = Ilu0::new(&a16).unwrap();
+        let options = KrylovOptions::default();
+        assert!(matches!(
+            BiCgStab::new(options).solve(&a16, &[1.0; 16], Some(&ilu), Some(&[0.0; 3])),
+            Err(SparseError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            Gmres::new(options).solve(&a16, &[1.0; 16], Some(&ilu), Some(&[0.0; 3])),
             Err(SparseError::DimensionMismatch { .. })
         ));
     }

@@ -8,7 +8,9 @@
 //! (it mutates `VAEM_THREADS`, so it owns its test binary).
 
 use vaem::experiments::tsv_array::TsvArrayExperiment;
+use vaem_fvm::{CoupledSolver, SolverOptions};
 use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
+use vaem_physics::DopingProfile;
 
 #[test]
 fn contacts_and_facets_scale_with_the_grid() {
@@ -111,4 +113,40 @@ fn nominal_coupling_matrix_is_reciprocal_and_distance_ordered() {
             );
         }
     }
+}
+
+/// Pins the quick 2×2 nominal extraction bit for bit: the digest of every
+/// result value, and the ILU(0)+BiCGSTAB iteration count of each
+/// capacitance column. A change to the sparse kernels that moves a single
+/// floating-point operation of these solves fails here, not only in the
+/// benchmark's digest check.
+#[test]
+fn quick_nominal_report_and_column_iterations_are_pinned() {
+    let experiment = TsvArrayExperiment::quick();
+    let report = experiment.nominal_report().expect("nominal 2x2 report");
+    assert_eq!(report.digest(), "f0961453c4f02f7e");
+
+    let structure = build_tsv_array_structure(&experiment.geometry).expect("quick grid builds");
+    let semis = structure.semiconductor_nodes();
+    let doping = DopingProfile::uniform_donor(structure.mesh.node_count(), &semis, 1.0e5);
+    let solver =
+        CoupledSolver::new(&structure, &doping, SolverOptions::default()).expect("solver builds");
+    let dc = solver.solve_dc().expect("DC point");
+    let mut operator = solver
+        .prepare_ac(&dc, experiment.frequency)
+        .expect("AC operator");
+    assert_eq!(operator.unknown_count(), 1197);
+    let names = experiment.geometry.via_names();
+    let names: Vec<&str> = names.iter().map(String::as_str).collect();
+    let columns = operator
+        .solve_terminals(&names, |ac| Ok((ac.solver_strategy, ac.krylov_iterations)))
+        .expect("capacitance columns");
+    assert!(
+        columns
+            .iter()
+            .all(|&(strategy, _)| strategy == "ilu0-bicgstab"),
+        "{columns:?}"
+    );
+    let iterations: Vec<usize> = columns.iter().map(|&(_, it)| it).collect();
+    assert_eq!(iterations, [19, 22, 22, 18]);
 }
