@@ -176,7 +176,7 @@ fn bench_seeded_crossover(c: &mut Criterion) {
 
         // What the same sample costs if `Auto` abandons the seeded direct
         // path: a cold ILU(0) build, BiCGSTAB, and — on these systems —
-        // the GMRES and direct-LU rescues once the iteration stagnates.
+        // the direct-LU rescue once the iteration stagnates.
         group.bench_with_input(
             BenchmarkId::new("ColdAuto", a.rows()),
             &(&a, &b),

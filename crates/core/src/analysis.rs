@@ -707,7 +707,6 @@ impl VariationalAnalysis {
     }
 
     /// Builds the perturbed structure and doping profile of one sample.
-    // vaem-lint: cold per-sample problem construction (mesh, doping, topology)
     fn sample_state(
         &self,
         facet_offsets: &[(String, Vec<f64>)],
@@ -826,9 +825,7 @@ impl VariationalAnalysis {
         let solver = CoupledSolver::with_topology(
             &state.structure,
             &state.doping,
-            // vaem-lint: allow(H2) small solver-options struct copied once per evaluation
             options.clone(),
-            // vaem-lint: allow(H2) Arc refcount bump handing the shared topology to the solver
             topology.clone(),
         )?;
         // Take the cached DC operating point (solving it on the first call)
@@ -840,7 +837,6 @@ impl VariationalAnalysis {
         let operator = solver.prepare_ac_sweep(&dc);
         state.dc = Some(dc);
         let mut operator = operator?;
-        // vaem-lint: allow(H1) per-sample output buffer, sized once per evaluation
         let mut out = Vec::with_capacity(frequencies.len() * self.config.quantities.len());
         for &frequency in frequencies {
             let ac = operator.solve_at(frequency, self.driven_terminal())?;
@@ -868,7 +864,6 @@ impl VariationalAnalysis {
             SampleStage::Mc => FaultStage::Mc,
         };
         plan.as_ref()
-            // vaem-lint: allow(H2) Arc refcount bump installing the fault scope
             .map(|p| faults::scope(p.clone(), stage, index, attempt))
     }
 
@@ -1030,7 +1025,6 @@ impl VariationalAnalysis {
         };
         let outputs = self.evaluate_state(&ctx.topology, &mut state, frequencies, options, None);
         if ctx.keep_states {
-            // vaem-lint: allow(H1) boxes a kept sample state once per wave, adaptive sweeps only; slots of single-wave flows stay small
             slot.state = Some(Box::new(state));
         }
         outputs
@@ -1110,7 +1104,6 @@ impl VariationalAnalysis {
 
     /// Reads the configured quantities off an already-solved AC solution
     /// (driven at [`VariationalAnalysis::driven_terminal`]).
-    // vaem-lint: cold output materialization after the solves
     fn extract_outputs_from(
         &self,
         solver: &CoupledSolver<'_>,
@@ -1303,7 +1296,6 @@ impl VariationalAnalysis {
 
     /// Influence weights of every node, from the nominal AC solution
     /// (w_i = |J⁰_i|·nodeVol_i, the paper's eq. 9).
-    // vaem-lint: cold wPFA weights of the nominal's first point, once per run
     fn nominal_weights(&self, ac: &AcSolution) -> Vec<f64> {
         let mesh = &self.structure.mesh;
         let mut weights = vec![0.0_f64; mesh.node_count()];
@@ -1417,7 +1409,6 @@ impl VariationalAnalysis {
     /// point expanded through the group reductions, or a Monte-Carlo run's
     /// full-rank draw of every group from its own `(seed, run)` stream —
     /// either way a pure function of the index, whatever the thread count.
-    // vaem-lint: cold per-sample input expansion, once per sample
     fn sample_input(&self, draws: &Draws<'_>, index: usize) -> SampleInput {
         let mut input = SampleInput::default();
         match draws {

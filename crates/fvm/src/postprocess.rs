@@ -17,7 +17,6 @@ use vaem_numeric::Complex64;
 ///
 /// # Errors
 /// Returns [`FvmError::Configuration`] for an unknown terminal name.
-// vaem-lint: cold output-side postprocessing; allocates the reported quantities
 pub fn terminal_current(
     solver: &CoupledSolver<'_>,
     ac: &AcSolution,
@@ -37,7 +36,6 @@ pub fn terminal_current(
 /// `k`'s conductor adds its current to `k`'s sum (a link joining two
 /// terminals adds to both), in link order — so each sum equals
 /// [`terminal_current`] for that terminal, bit for bit.
-// vaem-lint: cold output-side postprocessing; allocates the reported quantities
 pub fn terminal_currents(solver: &CoupledSolver<'_>, ac: &AcSolution) -> Vec<Complex64> {
     let terminals = solver.terminals();
     let mesh = &solver.structure().mesh;
@@ -69,7 +67,6 @@ pub fn terminal_currents(solver: &CoupledSolver<'_>, ac: &AcSolution) -> Vec<Com
 ///
 /// # Errors
 /// Returns [`FvmError::Configuration`] for an unknown terminal name.
-// vaem-lint: cold output-side postprocessing; allocates the reported quantities
 pub fn interface_current(
     solver: &CoupledSolver<'_>,
     ac: &AcSolution,
@@ -132,7 +129,6 @@ pub fn capacitance_column(
 /// when a terminal's current sum is non-finite; array meshes multiply the
 /// terminal count, and a silent NaN column poisons every matrix entry of
 /// that terminal.
-// vaem-lint: cold output-side postprocessing; allocates the reported quantities
 pub fn capacitance_column_from(
     solver: &CoupledSolver<'_>,
     ac: &crate::AcSolution,
@@ -218,7 +214,6 @@ pub fn capacitance_matrix(
 /// small that `V / I` overflows to a non-finite impedance. Both used to
 /// propagate silently (`∞`/NaN) into the PCE moments of the statistical
 /// sweeps; they now fail with the offending frequency in the message.
-// vaem-lint: stage pure function of the solved AC state and geometry
 pub fn impedance_spectrum(
     solver: &CoupledSolver<'_>,
     sweep: &[AcSolution],
@@ -282,7 +277,6 @@ pub fn impedance_spectrum(
 /// point where the aggressor carries no current (the ratio is undefined), and
 /// [`FvmError::NonFinite`] when either current sums to a non-finite value —
 /// each with the offending frequency in the message.
-// vaem-lint: stage pure function of the solved AC state and geometry
 pub fn coupling_ratio_spectrum(
     solver: &CoupledSolver<'_>,
     sweep: &[AcSolution],

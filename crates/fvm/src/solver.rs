@@ -323,7 +323,6 @@ impl<'a> CoupledSolver<'a> {
     /// # Errors
     /// Returns [`FvmError::Configuration`] when the doping profile or the
     /// topology do not match the mesh.
-    // vaem-lint: cold solver construction, once per sample
     pub fn with_topology(
         structure: &'a Structure,
         doping: &'a DopingProfile,
@@ -439,7 +438,6 @@ impl<'a> CoupledSolver<'a> {
         // Dirichlet values: every metal node pinned at its terminal bias;
         // non-metal contact nodes pinned at bias (+ built-in potential on
         // semiconductor ohmic contacts).
-        // vaem-lint: allow(H1) Dirichlet mask construction, once per DC solve
         let mut dirichlet: Vec<Option<f64>> = vec![None; n_nodes];
         for node in mesh.node_ids() {
             let mat = self.material(node);
@@ -457,9 +455,7 @@ impl<'a> CoupledSolver<'a> {
         }
 
         // Unknown numbering.
-        // vaem-lint: allow(H1) unknown-numbering setup, once per DC solve
         let mut unknown_index: Vec<Option<usize>> = vec![None; n_nodes];
-        // vaem-lint: allow(H1) unknown-numbering setup, once per DC solve
         let mut unknowns: Vec<NodeId> = Vec::new();
         for node in mesh.node_ids() {
             if dirichlet[node.index()].is_none() {
@@ -481,7 +477,6 @@ impl<'a> CoupledSolver<'a> {
                     0.0
                 }
             })
-            // vaem-lint: allow(H1) bias-table materialization, once per DC solve
             .collect();
 
         let clamp_exp = |x: f64| x.clamp(-60.0, 60.0);
@@ -509,10 +504,8 @@ impl<'a> CoupledSolver<'a> {
                         let c = eps * self.link_factor[lid.index()];
                         (c, other.index(), unknown_index[other.index()])
                     })
-                    // vaem-lint: allow(H1) stencil precomputation keeps per-iteration assembly allocation-free
                     .collect()
             })
-            // vaem-lint: allow(H1) stencil precomputation keeps per-iteration assembly allocation-free
             .collect();
         // Charge term data per unknown: (q·volume, net doping) for
         // semiconductor nodes, None elsewhere.
@@ -523,11 +516,9 @@ impl<'a> CoupledSolver<'a> {
                     .is_semiconductor()
                     .then(|| (q * mesh.node_volume(node), self.doping.net(node)))
             })
-            // vaem-lint: allow(H1) charge-term table, once per DC solve
             .collect();
 
         let n_unknown = unknowns.len();
-        // vaem-lint: allow(H1) Newton workspace sized once per DC solve, reused across iterations
         let mut rhs = vec![0.0_f64; n_unknown];
         let mut jac = TripletMatrix::with_capacity(n_unknown, n_unknown, n_unknown * 7);
         // CSR carrying the fixed Jacobian pattern; seeded from the shared
@@ -621,7 +612,6 @@ impl<'a> CoupledSolver<'a> {
             // where the cause is still attributable to this solve.
             if delta.iter().any(|d| !d.is_finite()) {
                 return Err(FvmError::NonFinite {
-                    // vaem-lint: allow(H1) non-finite-update error message, failure path only
                     detail: format!(
                         "DC Newton update contains non-finite entries at iteration {iterations}"
                     ),
@@ -668,9 +658,7 @@ impl<'a> CoupledSolver<'a> {
         }
 
         // Carrier densities from the converged potential.
-        // vaem-lint: allow(H1) carrier-density output arrays, once per converged DC solve
         let mut electron_density = vec![0.0; n_nodes];
-        // vaem-lint: allow(H1) carrier-density output arrays, once per converged DC solve
         let mut hole_density = vec![0.0; n_nodes];
         for node in mesh.node_ids() {
             if self.material(node).is_semiconductor() {
@@ -761,7 +749,6 @@ impl<'a> CoupledSolver<'a> {
     /// # Errors
     /// Never fails today; returns `Result` for forward compatibility with
     /// configuration validation.
-    // vaem-lint: cold sweep preparation, once per sample
     pub fn prepare_ac_sweep<'s>(
         &'s self,
         dc: &DcSolution,
@@ -912,7 +899,6 @@ impl AcSweepOperator<'_, '_> {
     pub fn set_frequency(&mut self, frequency: f64) -> Result<(), FvmError> {
         if !frequency.is_finite() || frequency < 0.0 {
             return Err(FvmError::Configuration {
-                // vaem-lint: allow(H1) frequency-update failure message, error path only
                 detail: format!("invalid AC frequency {frequency} Hz"),
             });
         }
@@ -1081,7 +1067,6 @@ impl AcSweepOperator<'_, '_> {
     ) -> Result<AcSolution, FvmError> {
         self.set_frequency(frequency)?;
         let mut excitations = BTreeMap::new();
-        // vaem-lint: allow(H1) terminal-label key for the excitation map, once per frequency solve
         excitations.insert(driven_terminal.to_string(), Complex64::ONE);
         let guess = self.warm.take();
         let (ac, solution) = self.solve_inner(&excitations, driven_terminal, guess.as_deref())?;
@@ -1163,7 +1148,6 @@ impl AcSweepOperator<'_, '_> {
                 .unwrap_or(Complex64::ZERO)
         };
 
-        // vaem-lint: allow(H1) AC right-hand side sized once per frequency solve
         let mut rhs = vec![Complex64::ZERO; self.unknowns.len()];
         self.fill_rhs(excitation_of, &mut rhs);
         let prepared = self.prepared.as_mut().ok_or_else(no_frequency_error)?;
@@ -1193,7 +1177,6 @@ impl AcSweepOperator<'_, '_> {
     ) -> AcSolution {
         let solver = self.solver;
         let mesh = &solver.structure.mesh;
-        // vaem-lint: allow(H1) solution scatter into node space, once per frequency solve
         let mut potential = vec![Complex64::ZERO; mesh.node_count()];
         for node in mesh.node_ids() {
             let i = node.index();
@@ -1209,10 +1192,8 @@ impl AcSweepOperator<'_, '_> {
 
         AcSolution {
             potential,
-            // vaem-lint: allow(H2) the solution record owns its admittance table; one copy per frequency solve
             link_admittance: self.link_admittance.clone(),
             omega: self.omega,
-            // vaem-lint: allow(H1) terminal-label copy into the solution record, once per frequency solve
             driven_terminal: driven_label.to_string(),
             solver_strategy: report.strategy,
             linear_residual: report.residual_norm,
@@ -1224,7 +1205,6 @@ impl AcSweepOperator<'_, '_> {
 /// The error of a solve on an operator that has no frequency set yet.
 fn no_frequency_error() -> FvmError {
     FvmError::Configuration {
-        // vaem-lint: allow(H1) configuration-error message, failure path only
         detail: "AC operator has no frequency set (call set_frequency first)".to_string(),
     }
 }
@@ -1232,7 +1212,6 @@ fn no_frequency_error() -> FvmError {
 /// The error of a solve that names a terminal the structure does not have.
 fn unknown_terminal_error(name: &str) -> FvmError {
     FvmError::Configuration {
-        // vaem-lint: allow(H1) unknown-terminal error message, failure path only
         detail: format!("unknown terminal '{name}'"),
     }
 }

@@ -40,7 +40,6 @@ impl TerminalMap {
     }
 
     /// All nodes assigned to terminal `k`.
-    // vaem-lint: cold materializes the terminal node list during setup
     pub fn nodes_of(&self, k: usize) -> Vec<NodeId> {
         self.assignment
             .iter()

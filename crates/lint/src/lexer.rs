@@ -47,11 +47,6 @@ pub struct Tok {
     pub line: usize,
     /// 1-based source column of the token's first character.
     pub col: usize,
-    /// Byte offset of the token's first character in the source.
-    pub start: usize,
-    /// Byte offset one past the token's last character (so
-    /// `&src[tok.start..tok.end]` is exactly the consumed lexeme).
-    pub end: usize,
 }
 
 /// One comment (line or block, doc or plain), with its full text.
@@ -82,7 +77,6 @@ struct Cursor<'a> {
     i: usize,
     line: usize,
     col: usize,
-    byte: usize,
 }
 
 impl Cursor<'_> {
@@ -93,7 +87,6 @@ impl Cursor<'_> {
     fn bump(&mut self) -> Option<char> {
         let ch = self.chars.get(self.i).copied()?;
         self.i += 1;
-        self.byte += ch.len_utf8();
         if ch == '\n' {
             self.line += 1;
             self.col = 1;
@@ -122,14 +115,11 @@ pub fn lex(src: &str) -> Lexed {
         i: 0,
         line: 1,
         col: 1,
-        byte: 0,
     };
     let mut out = Lexed::default();
 
     while let Some(ch) = cur.peek(0) {
         let (line, col) = (cur.line, cur.col);
-        let start_byte = cur.byte;
-        let tok_count = out.toks.len();
         if ch.is_whitespace() {
             cur.bump();
         } else if ch == '/' && cur.peek(1) == Some('/') {
@@ -149,14 +139,6 @@ pub fn lex(src: &str) -> Lexed {
             cur.bump();
             push_tok(&mut out, TokKind::Punct, &ch.to_string(), line, col);
         }
-        // Every dispatch above pushes at most one token; stamp its byte
-        // span here so the helpers stay span-agnostic.
-        if out.toks.len() > tok_count {
-            if let Some(last) = out.toks.last_mut() {
-                last.start = start_byte;
-                last.end = cur.byte;
-            }
-        }
     }
     out
 }
@@ -167,8 +149,6 @@ fn push_tok(out: &mut Lexed, kind: TokKind, text: &str, line: usize, col: usize)
         text: text.to_string(),
         line,
         col,
-        start: 0,
-        end: 0,
     });
 }
 
@@ -456,28 +436,6 @@ mod tests {
             idents(r#"let s = "a \" b \\"; after()"#),
             ["let", "s", "after"]
         );
-    }
-
-    #[test]
-    fn byte_spans_slice_back_to_the_lexeme() {
-        let src = "let x = r#\"raw…\"#; foo();";
-        let lexed = lex(src);
-        for t in &lexed.toks {
-            assert!(
-                t.start < t.end && t.end <= src.len(),
-                "span of {:?}",
-                t.text
-            );
-        }
-        let x = lexed.toks.iter().find(|t| t.text == "x").unwrap();
-        assert_eq!(&src[x.start..x.end], "x");
-        let raw = lexed.toks.iter().find(|t| t.kind == TokKind::Str).unwrap();
-        assert_eq!(&src[raw.start..raw.end], "r#\"raw…\"#");
-        // Multi-byte characters keep offsets on char boundaries.
-        let uni = "let é = 'λ';";
-        for t in lex(uni).toks {
-            assert!(uni.is_char_boundary(t.start) && uni.is_char_boundary(t.end));
-        }
     }
 
     #[test]

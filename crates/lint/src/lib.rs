@@ -4,25 +4,19 @@
 //! The repository's headline guarantee (bit-identical results at any thread
 //! count) is enforced dynamically by digest diffs and determinism tests; the
 //! hazards that would break it are textual and auditable. This crate ships a
-//! small self-contained Rust lexer ([`lexer`]), a brace-matched item
-//! parser ([`parse`]), a whole-workspace symbol table + call graph
-//! ([`model`]), a line/token-level rule engine ([`rules`], rules D1–D6
-//! plus the waiver rules W0/W1), the call-graph-aware rule families
-//! ([`semantic`], rules H1–H3/P1/E1–E2), and a panic-path budget ratchet
-//! ([`budget`]). The `vaem-lint` binary walks `crates/*/src` and the root
-//! facade `src/`, reports span-accurate findings (`--format json` or
-//! `--format sarif` for machines), and exits nonzero on any unwaived
-//! violation — see the README "Correctness tooling" section and
-//! `crates/lint/RULES.md` for the rule catalog and waiver syntax.
+//! small self-contained Rust lexer ([`lexer`]), a per-file token rule engine
+//! ([`rules`], rules D1–D6 plus the waiver rules W0/W1) and a panic-path
+//! budget ratchet ([`budget`]). The `vaem-lint` binary walks `crates/*/src`
+//! and the root facade `src/`, reports span-accurate findings, and exits
+//! nonzero on any unwaived violation — see the README "Correctness tooling"
+//! section and `crates/lint/RULES.md` for the rule catalog and waiver
+//! syntax.
 
 #![warn(missing_docs)]
 
 pub mod budget;
 pub mod lexer;
-pub mod model;
-pub mod parse;
 pub mod rules;
-pub mod semantic;
 
 use budget::Budget;
 use rules::{Finding, Rule};
@@ -127,32 +121,12 @@ pub fn lint_files(
     budget_map: &Budget,
     strict_budget: bool,
 ) -> Result<WorkspaceReport, LintError> {
-    let mut sources = Vec::with_capacity(rel_paths.len());
+    let mut report = WorkspaceReport::default();
     for rel in rel_paths {
         let abs = root.join(rel);
         let source = std::fs::read_to_string(&abs)
             .map_err(|e| LintError(format!("cannot read {}: {e}", abs.display())))?;
-        sources.push((rel.clone(), source));
-    }
-    Ok(lint_sources(&sources, budget_map, strict_budget))
-}
-
-/// Lints in-memory `(workspace-relative path, source)` pairs: builds the
-/// whole-set semantic model (call graph + H/P/E findings), then runs the
-/// per-file token rules, merges, and applies waivers. This is the full
-/// pipeline behind [`lint_files`], exposed so fixture tests can exercise
-/// the semantic families without touching disk.
-pub fn lint_sources(
-    sources: &[(String, String)],
-    budget_map: &Budget,
-    strict_budget: bool,
-) -> WorkspaceReport {
-    let ws = model::Workspace::build(sources);
-    let mut semantic_findings = semantic::analyze(&ws);
-    let mut report = WorkspaceReport::default();
-    for (rel, source) in sources {
-        let extra = semantic_findings.remove(rel).unwrap_or_default();
-        let file = rules::lint_source_with(rel, source, extra);
+        let file = rules::lint_source(rel, &source);
         report.files_checked += 1;
         for f in file.violations {
             report.violations.push((rel.clone(), f));
@@ -204,7 +178,7 @@ pub fn lint_sources(
     report
         .violations
         .sort_by(|a, b| (a.0.as_str(), a.1.line, a.1.col).cmp(&(b.0.as_str(), b.1.line, b.1.col)));
-    report
+    Ok(report)
 }
 
 /// Convenience entry point: collect the default file set, load the budget
@@ -273,92 +247,6 @@ pub fn render_text(report: &WorkspaceReport) -> String {
         report.violations.len(),
         report.waived.len()
     );
-    out
-}
-
-/// Renders a report as a single JSON object (hand-serialized — the
-/// workspace has no serde_json).
-pub fn render_json(report: &WorkspaceReport) -> String {
-    let mut out = String::from("{\"violations\":[");
-    for (i, (path, f)) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
-            f.rule.id(),
-            json_escape(path),
-            f.line,
-            f.col,
-            json_escape(&f.message)
-        ));
-    }
-    out.push_str(&format!(
-        "],\"files_checked\":{},\"waived\":{},\"d5_counts\":{{",
-        report.files_checked,
-        report.waived.len()
-    ));
-    let nonzero: Vec<(&String, &usize)> = report.d5_counts.iter().filter(|(_, &c)| c > 0).collect();
-    for (i, (path, count)) in nonzero.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":{}", json_escape(path), count));
-    }
-    out.push_str("}}");
-    out
-}
-
-/// Renders a report as a minimal SARIF 2.1.0 log (one run, one result per
-/// unwaived violation) for code-scanning upload and CI artifacts.
-pub fn render_sarif(report: &WorkspaceReport) -> String {
-    let mut rules_seen: Vec<&str> = report.violations.iter().map(|(_, f)| f.rule.id()).collect();
-    rules_seen.sort_unstable();
-    rules_seen.dedup();
-    let mut out = String::from(
-        "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",\
-         \"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{\
-         \"name\":\"vaem-lint\",\"informationUri\":\"crates/lint/RULES.md\",\"rules\":[",
-    );
-    for (i, id) in rules_seen.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"id\":\"{id}\"}}"));
-    }
-    out.push_str("]}},\"results\":[");
-    for (i, (path, f)) in report.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            f.rule.id(),
-            json_escape(&f.message),
-            json_escape(path),
-            f.line,
-            f.col
-        ));
-    }
-    out.push_str("]}]}");
-    out
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 

@@ -1,30 +1,20 @@
 //! The `vaem-lint` command-line gate.
 //!
 //! ```text
-//! vaem-lint [--root DIR] [--format text|json|sarif] [--strict-budget]
-//!           [--update-budget] [PATH…]
+//! vaem-lint [--strict-budget] [--update-budget] [PATH…]
 //! ```
 //!
 //! With no `PATH` arguments the whole workspace file set is linted
-//! (`crates/*/src/**` plus the root `src/`) — including the semantic
-//! call-graph families and, under `--strict-budget`, stale-budget-entry
-//! detection; explicit workspace-relative paths lint just those files
-//! (used by the CI seeded-fixture check; the call graph then spans only
-//! the listed files). Exits 0 on a clean tree, 1 on violations, 2 on
+//! (`crates/*/src/**` plus the root `src/`) — including, under
+//! `--strict-budget`, stale-budget-entry detection; explicit
+//! workspace-relative paths lint just those files (used by the CI
+//! seeded-fixture check). Exits 0 on a clean tree, 1 on violations, 2 on
 //! usage or I/O errors.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 struct Args {
-    root: Option<PathBuf>,
-    format: Format,
     strict_budget: bool,
     update_budget: bool,
     paths: Vec<String>,
@@ -32,31 +22,18 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        root: None,
-        format: Format::Text,
         strict_budget: false,
         update_budget: false,
         paths: Vec::new(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--root" => {
-                let dir = it.next().ok_or("--root needs a directory argument")?;
-                args.root = Some(PathBuf::from(dir));
-            }
-            "--format" => match it.next().as_deref() {
-                Some("json") => args.format = Format::Json,
-                Some("sarif") => args.format = Format::Sarif,
-                Some("text") => args.format = Format::Text,
-                other => return Err(format!("--format expects text|json|sarif, got {other:?}")),
-            },
             "--strict-budget" => args.strict_budget = true,
             "--update-budget" => args.update_budget = true,
             "--help" | "-h" => {
-                return Err("usage: vaem-lint [--root DIR] [--format text|json|sarif] \
-                     [--strict-budget] [--update-budget] [PATH…]"
-                    .to_string())
+                return Err(
+                    "usage: vaem-lint [--strict-budget] [--update-budget] [PATH…]".to_string(),
+                )
             }
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag}")),
             path => args.paths.push(path.replace('\\', "/")),
@@ -86,10 +63,7 @@ fn find_root() -> Result<PathBuf, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-    let root = match args.root {
-        Some(r) => r,
-        None => find_root()?,
-    };
+    let root = find_root()?;
     let report = if args.paths.is_empty() {
         // Whole-workspace runs go through the driver that also knows how
         // to flag stale budget entries on strict runs.
@@ -128,11 +102,7 @@ fn run() -> Result<bool, String> {
         eprintln!("vaem-lint: wrote {} ({nonzero} entries)", path.display());
     }
 
-    match args.format {
-        Format::Json => println!("{}", vaem_lint::render_json(&report)),
-        Format::Sarif => println!("{}", vaem_lint::render_sarif(&report)),
-        Format::Text => print!("{}", vaem_lint::render_text(&report)),
-    }
+    print!("{}", vaem_lint::render_text(&report));
     Ok(report.is_clean())
 }
 

@@ -12,23 +12,19 @@
 //! | D4 | Every `unsafe` block/impl/fn is immediately preceded by a `// SAFETY:` comment (or a `# Safety` doc section), and `unsafe` only appears in allowlisted files. |
 //! | D5 | `unwrap()`/`expect()`/`panic!` in solver-library code is a per-file budget ratchet (`lint_budget.toml`): the count can only go down. |
 //! | D6 | No `Instant::now`/`SystemTime::now` outside `crates/bench` — wall-clock reads must never influence numeric results. |
-//! | H1 | No allocation (`Vec::new`, `vec!`, `collect`, `format!`, …) in a function reachable from a parallel worker closure or hot kernel (see [`crate::semantic`]). |
-//! | H2 | No `.clone()` on the hot path. |
-//! | H3 | No lock acquisition or stdout serialization on the hot path. |
-//! | P1 | A `// vaem-lint: stage` function must not transitively reach env reads outside the chokepoint, interior mutability, RNG construction, or I/O. |
-//! | E1 | No discarded `Result` in library code (`let _ =` on a Result-returning call, or a dropped `.ok()`). |
-//! | E2 | No empty `Err(…) => {}` match arm in library code. |
 //! | W0 | A waiver must carry a non-empty reason string. |
-//! | W1 | A waiver must suppress at least one finding and name a known rule. |
+//! | W1 | A waiver must suppress at least one finding and name a known rule, and a `vaem-lint:` comment must be a waiver. |
 //!
-//! D1–D6 are token rules computed per file; H/P/E are semantic rules
-//! computed on the whole-workspace call graph ([`crate::model`]) and
-//! merged into the per-file report before waivers apply, so the same
-//! inline-waiver syntax covers both.
-//!
-//! A finding is waived inline with a line comment of the form
+//! Every rule is computed per file from the lexer's token stream. A finding
+//! is waived inline with a line comment of the form
 //! `vaem-lint: allow(<RULE>) <reason>` (written after `//`), either trailing
-//! the offending line or on its own line immediately above it.
+//! the offending line or on its own line immediately above it. No other
+//! `vaem-lint:` directive exists, so any other one is reported instead of
+//! lingering unread.
+//!
+//! Allocation on the hot paths is measured, not linted: the tier-1 test
+//! `tests/alloc_counts.rs` pins exact allocation counts with a counting
+//! global allocator.
 
 use crate::lexer::{self, Comment, Tok, TokKind};
 use std::collections::BTreeSet;
@@ -48,21 +44,10 @@ pub enum Rule {
     D5,
     /// Wall-clock read outside `crates/bench`.
     D6,
-    /// Allocation on the hot path.
-    H1,
-    /// Clone on the hot path.
-    H2,
-    /// Lock acquisition / stdout serialization on the hot path.
-    H3,
-    /// Impurity reachable from a cache-stage function.
-    P1,
-    /// Discarded `Result` in library code.
-    E1,
-    /// Swallowed error arm in library code.
-    E2,
     /// Waiver without a reason string.
     W0,
-    /// Unused waiver or unknown rule id in a waiver.
+    /// Unused waiver, unknown rule id in a waiver, or a `vaem-lint:`
+    /// comment that is not a waiver.
     W1,
 }
 
@@ -76,12 +61,6 @@ impl Rule {
             Rule::D4 => "D4",
             Rule::D5 => "D5",
             Rule::D6 => "D6",
-            Rule::H1 => "H1",
-            Rule::H2 => "H2",
-            Rule::H3 => "H3",
-            Rule::P1 => "P1",
-            Rule::E1 => "E1",
-            Rule::E2 => "E2",
             Rule::W0 => "W0",
             Rule::W1 => "W1",
         }
@@ -96,12 +75,6 @@ impl Rule {
             "D4" => Some(Rule::D4),
             "D5" => Some(Rule::D5),
             "D6" => Some(Rule::D6),
-            "H1" => Some(Rule::H1),
-            "H2" => Some(Rule::H2),
-            "H3" => Some(Rule::H3),
-            "P1" => Some(Rule::P1),
-            "E1" => Some(Rule::E1),
-            "E2" => Some(Rule::E2),
             _ => None,
         }
     }
@@ -196,24 +169,16 @@ struct Waiver {
     comment_col: usize,
 }
 
-/// Lints one source file with the token rules only. `rel_path` must be
-/// workspace-relative with forward slashes — the per-rule allowlists match
-/// on it.
+/// Lints one source file. `rel_path` must be workspace-relative with
+/// forward slashes — the per-rule allowlists match on it.
 pub fn lint_source(rel_path: &str, source: &str) -> FileReport {
-    lint_source_with(rel_path, source, Vec::new())
-}
-
-/// Lints one source file, merging externally computed findings (the
-/// semantic H/P/E families from [`crate::semantic`]) before waivers
-/// apply, so one inline waiver syntax covers every rule family.
-pub fn lint_source_with(rel_path: &str, source: &str, extra: Vec<Finding>) -> FileReport {
     let lexed = lexer::lex(source);
     let toks = &lexed.toks;
     let test_mask = test_token_mask(toks);
     let attr_mask = attribute_token_mask(toks);
     let test_lines = test_line_spans(toks, &test_mask);
 
-    let mut findings: Vec<Finding> = extra;
+    let mut findings: Vec<Finding> = Vec::new();
     check_d1(rel_path, toks, &test_mask, &mut findings);
     check_d2(rel_path, toks, &test_mask, &mut findings);
     check_d3(rel_path, toks, &test_mask, &mut findings);
@@ -229,8 +194,14 @@ pub fn lint_source_with(rel_path: &str, source: &str, extra: Vec<Finding>) -> Fi
     check_d6(rel_path, toks, &test_mask, &mut findings);
     findings.sort_by_key(|f| (f.line, f.col, f.rule));
 
-    let waivers = parse_waivers(&lexed.comments, toks, &test_lines);
-    apply_waivers(findings, waivers)
+    let mut directive_violations = Vec::new();
+    let waivers = parse_waivers(
+        &lexed.comments,
+        toks,
+        &test_lines,
+        &mut directive_violations,
+    );
+    apply_waivers(findings, waivers, directive_violations)
 }
 
 // ---------------------------------------------------------------------------
@@ -247,9 +218,8 @@ fn is_ident(t: &Tok, name: &str) -> bool {
 /// Marks every token that belongs to a `#[…test…]`-attributed item (the
 /// attribute itself, the item header and its entire brace-matched body).
 /// Handles `#[cfg(test)] mod tests { … }`, `#[test] fn …`, and chained
-/// attributes; `#[cfg_attr(…)]` is not treated as a test marker. Shared
-/// with the semantic model so symbol tables skip test code the same way.
-pub(crate) fn test_token_mask(toks: &[Tok]) -> Vec<bool> {
+/// attributes; `#[cfg_attr(…)]` is not treated as a test marker.
+fn test_token_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut k = 0usize;
     while k < toks.len() {
@@ -731,8 +701,14 @@ fn prefix_of(rel_path: &str) -> String {
 // Waivers
 
 /// Parses every `vaem-lint: allow(RULE) reason` line comment outside test
-/// regions and resolves its target line.
-fn parse_waivers(comments: &[Comment], toks: &[Tok], test_lines: &[(usize, usize)]) -> Vec<Waiver> {
+/// regions and resolves its target line. Any other `vaem-lint:` comment is
+/// a W1 violation, pushed onto `violations`.
+fn parse_waivers(
+    comments: &[Comment],
+    toks: &[Tok],
+    test_lines: &[(usize, usize)],
+    violations: &mut Vec<Finding>,
+) -> Vec<Waiver> {
     let code_lines: BTreeSet<usize> = toks.iter().map(|t| t.line).collect();
     let mut waivers = Vec::new();
     for c in comments {
@@ -744,19 +720,27 @@ fn parse_waivers(comments: &[Comment], toks: &[Tok], test_lines: &[(usize, usize
         let Some(rest) = body.strip_prefix("vaem-lint:") else {
             continue;
         };
-        let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix("allow(") else {
+        let Some((rule_list, reason)) = rest
+            .trim_start()
+            .strip_prefix("allow(")
+            .and_then(|r| r.split_once(')'))
+        else {
+            violations.push(Finding {
+                rule: Rule::W1,
+                line: c.line,
+                col: c.col,
+                message: "unknown `vaem-lint:` directive: the only one is \
+                          `vaem-lint: allow(RULE) <reason>`"
+                    .to_string(),
+            });
             continue;
         };
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        let rules: Vec<String> = rest[..close]
+        let rules: Vec<String> = rule_list
             .split(',')
             .map(|r| r.trim().to_string())
             .filter(|r| !r.is_empty())
             .collect();
-        let reason = rest[close + 1..].trim().to_string();
+        let reason = reason.trim().to_string();
         let trailing = toks.iter().any(|t| t.line == c.line && t.col < c.col);
         let target_line = if trailing {
             Some(c.line)
@@ -775,10 +759,18 @@ fn parse_waivers(comments: &[Comment], toks: &[Tok], test_lines: &[(usize, usize
 }
 
 /// Applies waivers to the raw findings and splits the result into
-/// violations, budget-governed D5 sites, and waived findings.
-fn apply_waivers(findings: Vec<Finding>, waivers: Vec<Waiver>) -> FileReport {
+/// violations (starting from the unwaivable `violations` already found),
+/// budget-governed D5 sites, and waived findings.
+fn apply_waivers(
+    findings: Vec<Finding>,
+    waivers: Vec<Waiver>,
+    violations: Vec<Finding>,
+) -> FileReport {
     let mut remaining: Vec<Option<Finding>> = findings.into_iter().map(Some).collect();
-    let mut report = FileReport::default();
+    let mut report = FileReport {
+        violations,
+        ..FileReport::default()
+    };
 
     for w in &waivers {
         if w.reason.is_empty() {

@@ -116,10 +116,11 @@ fn waiver_hygiene_fixture_yields_w0_and_w1() {
         include_str!("fixtures/waiver_no_reason.rs"),
     );
     // A reason-less waiver is W0 and suppresses nothing (the D1 on its
-    // line survives); an unknown rule id and an unused waiver are W1.
+    // line survives); an unknown rule id, an unused waiver and a directive
+    // that is not a waiver are W1.
     assert_eq!(
         violation_pairs(&report),
-        vec![("D1", 7), ("W0", 7), ("W1", 12), ("W1", 17)]
+        vec![("D1", 7), ("W0", 7), ("W1", 12), ("W1", 17), ("W1", 22)]
     );
     assert!(report.waived.is_empty());
 }

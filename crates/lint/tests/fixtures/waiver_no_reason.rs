@@ -17,3 +17,9 @@ fn unused_waiver() -> usize {
     // vaem-lint: allow(D6) nothing on the next line reads a clock
     7
 }
+
+// A directive other than `allow(…)` is read by nothing, so it is W1 too.
+// vaem-lint: cold nothing reads this annotation
+fn stale_directive() -> usize {
+    9
+}

@@ -94,7 +94,6 @@ impl MaterialMap {
     }
 
     /// All node ids with the given material.
-    // vaem-lint: cold materializes the node list during topology setup
     pub fn nodes_of(&self, material: Material) -> Vec<NodeId> {
         self.materials
             .iter()

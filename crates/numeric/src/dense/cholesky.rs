@@ -87,7 +87,7 @@ impl Cholesky {
             Err(NumericError::DimensionMismatch { detail }) => {
                 return Err(NumericError::DimensionMismatch { detail })
             }
-            // vaem-lint: allow(E2) intentional fall-through to the jittered retry ladder; the final attempt propagates the error
+            // Not positive definite: fall through to the jittered retries.
             Err(_) => {}
         }
         let n = a.rows().max(1);
@@ -136,7 +136,6 @@ impl Cholesky {
     ///
     /// # Errors
     /// Returns [`NumericError::DimensionMismatch`] when `b.len()` is wrong.
-    // vaem-lint: cold allocates the solution it returns; once per dense solve, not per element
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, NumericError> {
         let n = self.dim();
         if b.len() != n {
@@ -231,10 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn log_det_matches_lu_det() {
+    fn log_det_matches_the_closed_form_determinant() {
         let a = spd3();
         let c = Cholesky::new(&a).unwrap();
-        let det = a.lu().unwrap().det();
+        // Cofactor expansion along the first row.
+        let det = a[(0, 0)] * (a[(1, 1)] * a[(2, 2)] - a[(1, 2)] * a[(2, 1)])
+            - a[(0, 1)] * (a[(1, 0)] * a[(2, 2)] - a[(1, 2)] * a[(2, 0)])
+            + a[(0, 2)] * (a[(1, 0)] * a[(2, 1)] - a[(1, 1)] * a[(2, 0)]);
+        assert!((det - 44.6).abs() < 1e-12);
         assert!((c.log_det() - det.ln()).abs() < 1e-10);
     }
 }

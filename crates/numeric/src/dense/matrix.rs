@@ -1,6 +1,6 @@
 //! Row-major dense matrix generic over [`Scalar`].
 
-use crate::{NumericError, Scalar};
+use crate::Scalar;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -22,7 +22,6 @@ pub struct DMatrix<T: Scalar> {
 
 impl<T: Scalar> DMatrix<T> {
     /// Creates a matrix filled with zeros.
-    // vaem-lint: cold dense-matrix construction
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
@@ -138,7 +137,6 @@ impl<T: Scalar> DMatrix<T> {
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
-    // vaem-lint: cold allocating convenience wrapper; dense panels are setup-side
     pub fn matvec(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
         let mut y = vec![T::zero(); self.rows];
@@ -218,7 +216,6 @@ impl<T: Scalar> DMatrix<T> {
     ///
     /// # Panics
     /// Panics if the shapes differ.
-    // vaem-lint: cold allocating convenience wrapper; dense panels are setup-side
     pub fn add(&self, other: &Self) -> Self {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         Self::from_fn(self.rows, self.cols, |i, j| self[(i, j)] + other[(i, j)])
@@ -228,7 +225,6 @@ impl<T: Scalar> DMatrix<T> {
     ///
     /// # Panics
     /// Panics if the shapes differ.
-    // vaem-lint: cold allocating convenience wrapper; dense panels are setup-side
     pub fn sub(&self, other: &Self) -> Self {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         Self::from_fn(self.rows, self.cols, |i, j| self[(i, j)] - other[(i, j)])
@@ -251,24 +247,6 @@ impl<T: Scalar> DMatrix<T> {
     /// Maximum modulus entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().map(|v| v.modulus()).fold(0.0, f64::max)
-    }
-
-    /// LU factorization with partial pivoting.
-    ///
-    /// # Errors
-    /// Returns [`NumericError::Singular`] when a pivot is exactly zero and
-    /// [`NumericError::DimensionMismatch`] for non-square matrices.
-    pub fn lu(&self) -> Result<super::Lu<T>, NumericError> {
-        super::Lu::new(self)
-    }
-
-    /// Solves `A·x = b` through an LU factorization.
-    ///
-    /// # Errors
-    /// See [`DMatrix::lu`].
-    // vaem-lint: cold allocates the solution it returns; once per dense solve
-    pub fn solve(&self, b: &[T]) -> Result<Vec<T>, NumericError> {
-        self.lu()?.solve(b)
     }
 }
 

@@ -5,18 +5,16 @@
 //!   (Cholesky sampling, eigendecomposition for PFA),
 //! * the weighted-covariance SVD of the wPFA reduction,
 //! * Gauss–Hermite rule construction (symmetric tridiagonal eigenproblem),
-//! * small dense fallback solves in the FVM layer.
+//! * the least-squares fit of the polynomial-chaos coefficients (QR).
 
 mod cholesky;
 mod eigen;
-mod lu;
 mod matrix;
 mod qr;
 mod svd;
 
 pub use cholesky::Cholesky;
 pub use eigen::SymmetricEigen;
-pub use lu::Lu;
 pub use matrix::DMatrix;
 pub use qr::Qr;
 pub use svd::Svd;

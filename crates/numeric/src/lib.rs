@@ -7,9 +7,10 @@
 //!   frequency-domain coupled solver.
 //! * [`Scalar`] — a small trait abstracting over `f64` and [`Complex64`] so
 //!   that matrix assembly and linear solvers can be written once.
-//! * [`dense`] — dense matrices plus LU, Cholesky, QR, symmetric Jacobi
+//! * [`dense`] — dense matrices plus Cholesky, QR, symmetric Jacobi
 //!   eigendecomposition and one-sided Jacobi SVD (used by the PFA/wPFA
-//!   variable-reduction step and the Gauss–Hermite rule construction).
+//!   variable-reduction step, the polynomial-chaos fit and the
+//!   Gauss–Hermite rule construction).
 //! * [`poly`] — probabilists' Hermite polynomials and Gauss–Hermite
 //!   quadrature rules (the backbone of the spectral stochastic collocation
 //!   method).
@@ -19,16 +20,14 @@
 //! # Example
 //!
 //! ```
-//! use vaem_numeric::{Complex64, dense::DMatrix};
+//! use vaem_numeric::{Complex64, dense::{Cholesky, DMatrix}};
 //!
-//! let a = DMatrix::from_rows(&[
-//!     vec![Complex64::new(2.0, 0.0), Complex64::new(0.0, 1.0)],
-//!     vec![Complex64::new(0.0, -1.0), Complex64::new(3.0, 0.0)],
-//! ]);
-//! let b = vec![Complex64::new(1.0, 0.0), Complex64::new(0.0, 0.0)];
-//! let lu = a.lu().expect("non-singular");
-//! let x = lu.solve(&b).expect("solve");
+//! let a = DMatrix::from_rows(&[vec![4.0, 2.0], vec![2.0, 3.0]]);
+//! let b = vec![1.0, 0.0];
+//! let x = Cholesky::new(&a)?.solve(&b)?;
 //! assert!((a.matvec(&x)[0] - b[0]).abs() < 1e-12);
+//! assert_eq!(Complex64::new(3.0, 4.0).abs(), 5.0);
+//! # Ok::<(), vaem_numeric::NumericError>(())
 //! ```
 
 #![warn(missing_docs)]

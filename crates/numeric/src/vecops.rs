@@ -265,7 +265,6 @@ pub fn scale_in_place<T: Scalar>(a: T, x: &mut [T]) {
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-// vaem-lint: cold allocating convenience wrapper; hot kernels take out-params
 pub fn sub<T: Scalar>(x: &[T], y: &[T]) -> Vec<T> {
     assert_eq!(x.len(), y.len(), "sub: length mismatch");
     x.iter().zip(y.iter()).map(|(a, b)| *a - *b).collect()
@@ -275,20 +274,17 @@ pub fn sub<T: Scalar>(x: &[T], y: &[T]) -> Vec<T> {
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
-// vaem-lint: cold allocating convenience wrapper; hot kernels take out-params
 pub fn add<T: Scalar>(x: &[T], y: &[T]) -> Vec<T> {
     assert_eq!(x.len(), y.len(), "add: length mismatch");
     x.iter().zip(y.iter()).map(|(a, b)| *a + *b).collect()
 }
 
 /// Converts a real vector into a vector of scalars of type `T`.
-// vaem-lint: cold allocating convenience wrapper; hot kernels take out-params
 pub fn from_real<T: Scalar>(x: &[f64]) -> Vec<T> {
     x.iter().map(|&v| T::from_f64(v)).collect()
 }
 
 /// Extracts the real parts of a vector of scalars.
-// vaem-lint: cold allocating convenience wrapper; hot kernels take out-params
 pub fn to_real<T: Scalar>(x: &[T]) -> Vec<f64> {
     x.iter().map(|v| v.real()).collect()
 }

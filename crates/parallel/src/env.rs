@@ -32,7 +32,6 @@ pub fn raw(name: &str) -> Option<String> {
 /// Warns about an unusable value — once per variable name per process, so
 /// per-iteration readers cannot flood stderr. `expected` describes the
 /// accepted form, `fallback` what the run does instead.
-// vaem-lint: cold one-shot warning path, executes at most once per knob
 pub fn warn_invalid_once(name: &str, value: &str, expected: &str, fallback: &str) {
     static WARNED: OnceLock<Mutex<BTreeSet<String>>> = OnceLock::new();
     let warned = WARNED.get_or_init(|| Mutex::new(BTreeSet::new()));

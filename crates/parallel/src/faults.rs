@@ -51,8 +51,7 @@ pub enum FaultSite {
     /// Direct-LU numeric factorization reports a singular pivot.
     Pivot,
     /// The Krylov attempt of a prepared iterative solve reports
-    /// non-convergence before running (exercising the GMRES → direct
-    /// rescue chain).
+    /// non-convergence before running (exercising the direct rescue).
     Krylov,
     /// A successful prepared solve's solution vector is poisoned with NaN
     /// (exercising the non-finite guards downstream).
@@ -163,8 +162,6 @@ impl FaultPlan {
     ///
     /// # Errors
     /// A human-readable description of the first malformed entry.
-    // vaem-lint: cold fault-plan parsing, once per process
-    // vaem-lint: stage pure function of the plan string
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut entries = Vec::new();
         for part in text.split(',') {

@@ -119,7 +119,6 @@ unsafe impl<U: Send> Sync for SlotPtr<U> {}
 /// `0..threads` is carried by exactly one spawned thread, and the scope
 /// joins all workers before returning. Keeping this loop in one place means
 /// there is exactly one claiming discipline to audit for every fan-out.
-// vaem-lint: hot claiming loop of the fan-out primitives, runs on every worker
 fn steal_indices<F>(threads: usize, chunk: usize, len: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
@@ -147,7 +146,6 @@ where
 
 /// [`steal_indices`] collecting `body(worker, index)` into output slot
 /// `index`: the results come back in index order whatever the schedule.
-// vaem-lint: cold fan-out setup, the result slots are allocated once per call on the calling thread
 fn steal_map<U, F>(threads: usize, chunk: usize, len: usize, body: F) -> Vec<U>
 where
     U: Send,
@@ -244,7 +242,6 @@ where
 ///
 /// # Panics
 /// Propagates a panic from any worker thread.
-// vaem-lint: cold fan-out setup, the states and result slots are built once per call on the calling thread
 pub fn par_map_init<S, U, I, F>(
     threads: usize,
     chunk: usize,

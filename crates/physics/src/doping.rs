@@ -32,7 +32,6 @@ pub struct DopingProfile {
 
 impl DopingProfile {
     /// Creates an undoped profile covering `node_count` nodes.
-    // vaem-lint: cold doping-profile construction, once per sample
     pub fn undoped(node_count: usize) -> Self {
         Self {
             donor: vec![0.0; node_count],
@@ -101,7 +100,6 @@ impl DopingProfile {
     /// concentration: each `(node, delta)` maps `N_D ← N_D·(1 + delta)`.
     /// The concentration is floored at zero (a fluctuation cannot make the
     /// doping negative).
-    // vaem-lint: cold perturbed-profile construction, once per sample
     pub fn perturbed(&self, relative_deltas: &[(NodeId, f64)]) -> Self {
         let mut out = self.clone();
         for &(node, delta) in relative_deltas {

@@ -10,20 +10,18 @@ use vaem_numeric::{vecops, Scalar};
 /// mode on rotation-dominated operators. Comparing them against the product
 /// of the participating vector norms (instead of an absolute `1e-300`)
 /// detects the *near*-breakdown scale-free, so the solver escalates to the
-/// GMRES/direct fallbacks immediately instead of burning the whole
+/// direct rescue immediately instead of burning the whole
 /// iteration budget on a diverging recurrence and reporting a spurious
 /// max-iterations failure.
 const BREAKDOWN_REL: f64 = 1e-14;
 
-/// Options shared by the Krylov solvers ([`BiCgStab`], [`crate::Gmres`]).
+/// Options of the [`BiCgStab`] solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KrylovOptions {
     /// Relative residual tolerance `‖b − A·x‖ / ‖b‖`.
     pub tolerance: f64,
     /// Maximum number of iterations.
     pub max_iterations: usize,
-    /// GMRES restart length (ignored by BiCGSTAB).
-    pub restart: usize,
 }
 
 impl Default for KrylovOptions {
@@ -31,7 +29,6 @@ impl Default for KrylovOptions {
         Self {
             tolerance: 1e-10,
             max_iterations: 2000,
-            restart: 60,
         }
     }
 }
@@ -170,7 +167,6 @@ impl BiCgStab {
         let n = a.rows();
         if a.cols() != n || b.len() != n || x0.is_some_and(|g| g.len() != n) {
             return Err(SparseError::DimensionMismatch {
-                // vaem-lint: allow(H1) dimension-mismatch error message, failure path only
                 detail: format!(
                     "BiCGSTAB needs square A and matching rhs and guess; got {}x{} with rhs {} and guess {:?}",
                     a.rows(),
@@ -184,9 +180,7 @@ impl BiCgStab {
 
         let bnorm = vecops::norm2(b).max(1e-300);
         let mut x = match x0 {
-            // vaem-lint: allow(H1) initial-guess copy, once per solve entry
             Some(x0) => x0.to_vec(),
-            // vaem-lint: allow(H1) zero initial guess, once per solve entry
             None => vec![T::zero(); n],
         };
         // r = b − A·x (skip the matvec for the zero initial guess).
@@ -216,7 +210,6 @@ impl BiCgStab {
                 || rho_new.modulus() < BREAKDOWN_REL * r_hat_norm * r_norm
             {
                 return Err(SparseError::Breakdown {
-                    // vaem-lint: allow(H1) breakdown-label construction, failure path only
                     detail: "rho (near-)vanished in BiCGSTAB".to_string(),
                 });
             }
@@ -240,7 +233,6 @@ impl BiCgStab {
                 || denom.modulus() < 1e-300
             {
                 return Err(SparseError::Breakdown {
-                    // vaem-lint: allow(H1) breakdown-label construction, failure path only
                     detail: "r_hat . v (near-)vanished in BiCGSTAB".to_string(),
                 });
             }
@@ -287,7 +279,6 @@ impl BiCgStab {
             };
             if !tt.is_finite_scalar() || tt.modulus() < 1e-300 {
                 return Err(SparseError::Breakdown {
-                    // vaem-lint: allow(H1) breakdown-label construction, failure path only
                     detail: "t . t (near-)vanished in BiCGSTAB".to_string(),
                 });
             }
@@ -312,7 +303,6 @@ impl BiCgStab {
                 // The recurrence overflowed/NaN-poisoned itself; report a
                 // breakdown now rather than a max-iterations failure later.
                 return Err(SparseError::Breakdown {
-                    // vaem-lint: allow(H1) breakdown-label construction, failure path only
                     detail: "residual became non-finite in BiCGSTAB".to_string(),
                 });
             }
@@ -337,7 +327,6 @@ impl BiCgStab {
             }
             if !omega.is_finite_scalar() || omega.modulus() < 1e-300 {
                 return Err(SparseError::Breakdown {
-                    // vaem-lint: allow(H1) divergence-label construction, failure path only
                     detail: "omega (near-)vanished in BiCGSTAB".to_string(),
                 });
             }
@@ -587,7 +576,6 @@ mod tests {
         let short = KrylovOptions {
             tolerance: 1e-14,
             max_iterations: 3,
-            restart: 10,
         };
         for n in [1usize, 2, 3, 4, 5, 6, 7, 8, 29, 30, 31, 64, 203] {
             for seed in 0..3u64 {
@@ -821,7 +809,6 @@ mod tests {
         let solver = BiCgStab::new(KrylovOptions {
             tolerance: 1e-14,
             max_iterations: 2,
-            restart: 10,
         });
         let out = solver.solve(&a, &b, None, None);
         assert!(matches!(out, Err(SparseError::NotConverged { .. })));

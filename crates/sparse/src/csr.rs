@@ -20,7 +20,6 @@ pub struct SparsityPattern {
 
 impl SparsityPattern {
     /// Extracts the pattern of an assembled matrix.
-    // vaem-lint: cold pattern extraction during solver setup
     pub fn of<T: Scalar>(matrix: &CsrMatrix<T>) -> Self {
         Self {
             rows: matrix.rows,
@@ -65,7 +64,6 @@ impl SparsityPattern {
 
     /// Materializes an all-zero matrix with this structure, ready for
     /// [`CsrMatrix::assemble_into`].
-    // vaem-lint: cold materializes an empty matrix for assembly reuse
     pub fn zeros<T: Scalar>(&self) -> CsrMatrix<T> {
         CsrMatrix {
             rows: self.rows,
@@ -102,7 +100,6 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// # Panics
     /// Panics if an index is out of bounds.
-    // vaem-lint: cold matrix construction materializes its own storage
     pub fn from_triplets(rows: usize, cols: usize, triplets: &[(usize, usize, T)]) -> Self {
         // Count entries per row (with duplicates).
         let mut counts = vec![0usize; rows + 1];
@@ -222,7 +219,6 @@ impl<T: Scalar> CsrMatrix<T> {
         for &(r, c, v) in triplets {
             if r >= self.rows || c >= self.cols {
                 return Err(SparseError::DimensionMismatch {
-                    // vaem-lint: allow(H1) assembly-error message, constructed only on dimension mismatch
                     detail: format!(
                         "triplet ({r}, {c}) out of bounds for {}x{}",
                         self.rows, self.cols
@@ -260,7 +256,6 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// # Panics
     /// Panics if `x.len() != self.cols()`.
-    // vaem-lint: cold allocating convenience wrapper; hot callers use matvec_into
     pub fn matvec(&self, x: &[T]) -> Vec<T> {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");
         let mut y = vec![T::zero(); self.rows];
@@ -289,7 +284,6 @@ impl<T: Scalar> CsrMatrix<T> {
     ///
     /// # Panics
     /// Panics on dimension mismatch.
-    // vaem-lint: cold allocating convenience wrapper; hot callers reuse buffers via matvec_into
     pub fn residual(&self, x: &[T], b: &[T]) -> Vec<T> {
         assert_eq!(b.len(), self.rows, "residual: rhs length mismatch");
         let ax = self.matvec(x);
@@ -304,7 +298,6 @@ impl<T: Scalar> CsrMatrix<T> {
     }
 
     /// Transposed copy.
-    // vaem-lint: cold materializes the transpose during setup
     pub fn transpose(&self) -> Self {
         let mut triplets = Vec::with_capacity(self.nnz());
         for r in 0..self.rows {

@@ -7,8 +7,7 @@ use vaem_numeric::Scalar;
 /// ILU(0) preconditioner: an approximate factorization `A ≈ L·U` that keeps
 /// exactly the sparsity pattern of `A`.
 ///
-/// Used to precondition [`crate::BiCgStab`] and [`crate::Gmres`] on the
-/// coupled FVM systems.
+/// Used to precondition [`crate::BiCgStab`] on the coupled FVM systems.
 ///
 /// The factors are stored for the triangular sweeps of
 /// [`Ilu0::apply_into`], not in CSR order: the strict-L rows and the U
@@ -283,7 +282,6 @@ impl<T: Scalar> Ilu0<T> {
     /// * [`SparseError::MissingDiagonal`] when a row lacks a structural
     ///   diagonal entry.
     /// * [`SparseError::ZeroPivot`] when a pivot becomes exactly zero.
-    // vaem-lint: cold preconditioner construction, once per sparsity pattern
     pub fn new(a: &CsrMatrix<T>) -> Result<Self, SparseError> {
         let factors = CsrFactors::new(a)?;
         let (schedule, lower, upper) = LevelSchedule::build(a, &factors)?;
@@ -300,7 +298,6 @@ impl<T: Scalar> Ilu0<T> {
     ///
     /// # Errors
     /// Same conditions as [`Ilu0::new`].
-    // vaem-lint: cold preconditioner rebuild, once per refresh
     pub(crate) fn refactor(&self, a: &CsrMatrix<T>) -> Result<Self, SparseError> {
         let factors = CsrFactors::new(a)?;
         let (schedule, lower, upper) = match self.schedule.gather(a, &factors) {
@@ -327,7 +324,6 @@ impl<T: Scalar> Ilu0<T> {
     ///
     /// # Panics
     /// Panics if `r.len()` differs from the dimension.
-    // vaem-lint: cold allocating convenience wrapper; hot callers use apply_into
     pub fn apply(&self, r: &[T]) -> Vec<T> {
         let mut z = vec![T::zero(); self.dim()];
         self.apply_into(r, &mut z);

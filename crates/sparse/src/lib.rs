@@ -12,7 +12,7 @@
 //! * [`Ilu0`] — incomplete LU factorization with zero fill-in, used as a
 //!   preconditioner; its factors are stored in level order so the
 //!   triangular sweeps run independent rows back to back.
-//! * [`BiCgStab`] and [`Gmres`] — preconditioned Krylov solvers for the
+//! * [`BiCgStab`] — the preconditioned Krylov solver for the
 //!   non-symmetric complex systems.
 //! * [`SparseLu`] — a left-looking (Gilbert–Peierls style) direct sparse LU
 //!   with partial pivoting, used as a robust fallback and for smaller meshes.
@@ -24,7 +24,8 @@
 //! * [`rcm`] and [`amd`] — reverse Cuthill–McKee and approximate minimum
 //!   degree orderings; [`SymbolicLu`] keeps whichever [`predicted_fill`]
 //!   scores better for the pattern at hand.
-//! * [`LinearSolver`] — a front-end that picks a strategy and prepares a
+//! * [`LinearSolver`] — a front-end that picks a strategy (the direct LU,
+//!   or ILU(0)+BiCGSTAB with a direct-LU rescue) and prepares a
 //!   [`PreparedSolver`], whose solves report [`SolveReport`] statistics.
 //!
 //! # Example
@@ -59,7 +60,6 @@
 mod bicgstab;
 mod csr;
 mod error;
-mod gmres;
 mod ilu;
 mod lu;
 pub mod ordering;
@@ -73,7 +73,6 @@ mod triplet;
 pub use bicgstab::{BiCgStab, BiCgStabWorkspace, KrylovOptions};
 pub use csr::{CsrMatrix, SparsityPattern};
 pub use error::SparseError;
-pub use gmres::{Gmres, GmresWorkspace};
 pub use ilu::Ilu0;
 pub use lu::SparseLu;
 pub use ordering::{amd, predicted_fill, rcm, OrderingKind};

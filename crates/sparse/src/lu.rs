@@ -61,7 +61,6 @@ impl<T: Scalar> SparseLu<T> {
     /// * [`SparseError::DimensionMismatch`] for a non-square matrix.
     /// * [`SparseError::ZeroPivot`] when no usable pivot exists in a column
     ///   (structurally or numerically singular matrix).
-    // vaem-lint: cold dense-fallback factorization construction, once per pattern
     pub fn new(a: &CsrMatrix<T>) -> Result<Self, SparseError> {
         let n = a.rows();
         if a.cols() != n {
@@ -257,12 +256,10 @@ impl<T: Scalar> SparseLu<T> {
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>, SparseError> {
         if b.len() != self.n {
             return Err(SparseError::DimensionMismatch {
-                // vaem-lint: allow(H1) dimension-mismatch error message, failure path only
                 detail: format!("rhs length {} does not match dimension {}", b.len(), self.n),
             });
         }
         // y = P b
-        // vaem-lint: allow(H1) permuted rhs staging, once per triangular solve
         let mut y: Vec<T> = (0..self.n).map(|k| b[self.prow[k]]).collect();
         // Forward solve L y = P b (unit diagonal).
         for k in 0..self.n {
@@ -294,7 +291,6 @@ impl<T: Scalar> SparseLu<T> {
         match &self.cperm {
             None => Ok(y),
             Some(perm) => {
-                // vaem-lint: allow(H1) inverse-permutation staging, once per triangular solve
                 let mut x = vec![T::zero(); self.n];
                 for (k, &old) in perm.iter().enumerate() {
                     x[old] = y[k];

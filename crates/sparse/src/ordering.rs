@@ -45,8 +45,6 @@ pub enum OrderingKind {
 /// // RCM starts the reversed order away from the high-degree hub.
 /// assert_ne!(perm[perm.len() - 1], 0);
 /// ```
-// vaem-lint: cold fill-reducing ordering, once per sparsity pattern
-// vaem-lint: stage pure function of the sparsity pattern, content-addressable
 pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
     let n = a.rows();
     // Build the symmetrized adjacency (pattern of A + Aᵀ, excluding the diagonal).
@@ -110,8 +108,6 @@ pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
 /// factor fill once the mesh is three-dimensional enough that the bandwidth
 /// itself grows superlinearly; [`predicted_fill`] quantifies the trade per
 /// pattern.
-// vaem-lint: cold fill-reducing ordering, once per sparsity pattern
-// vaem-lint: stage pure function of the sparsity pattern, content-addressable
 pub fn amd<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
     let n = a.rows();
     // Symmetrized off-diagonal adjacency, deduplicated and sorted.
@@ -250,8 +246,6 @@ pub fn amd<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
 ///
 /// # Panics
 /// Panics when `perm` is not a permutation of `0..a.rows()`.
-// vaem-lint: cold ordering-selection heuristic, once per sparsity pattern
-// vaem-lint: stage pure function of the sparsity pattern, content-addressable
 pub fn predicted_fill<T: Scalar>(a: &CsrMatrix<T>, perm: &[usize]) -> usize {
     let n = a.rows();
     assert_eq!(perm.len(), n, "predicted_fill: permutation length");

@@ -33,7 +33,6 @@ impl RowColScaling {
     /// Computes the scaling for `a` and returns the scaled matrix together
     /// with the scaling data needed to transform right-hand sides and
     /// solutions.
-    // vaem-lint: cold equilibration builds the scaled matrix once per factorization
     pub fn equilibrate<T: Scalar>(a: &CsrMatrix<T>) -> (CsrMatrix<T>, Self) {
         let rows = a.rows();
         let cols = a.cols();
@@ -79,7 +78,6 @@ impl RowColScaling {
     }
 
     /// Transforms a right-hand side: `bs = R·b`.
-    // vaem-lint: cold materializes the scaled copy once per outer solve, not per Krylov iteration
     pub fn scale_rhs<T: Scalar>(&self, b: &[T]) -> Vec<T> {
         assert_eq!(b.len(), self.row.len(), "scale_rhs: length mismatch");
         b.iter()
@@ -90,7 +88,6 @@ impl RowColScaling {
 
     /// Recovers the solution of the original system from the solution of the
     /// scaled system: `x = C·y`.
-    // vaem-lint: cold materializes the unscaled copy once per outer solve, not per Krylov iteration
     pub fn unscale_solution<T: Scalar>(&self, y: &[T]) -> Vec<T> {
         assert_eq!(y.len(), self.col.len(), "unscale_solution: length mismatch");
         y.iter()
@@ -101,7 +98,6 @@ impl RowColScaling {
 
     /// Transforms an initial guess for the original system into one for the
     /// scaled system: `y0 = C⁻¹·x0`.
-    // vaem-lint: cold materializes the scaled guess once per outer solve, not per Krylov iteration
     pub fn scale_guess<T: Scalar>(&self, x0: &[T]) -> Vec<T> {
         assert_eq!(x0.len(), self.col.len(), "scale_guess: length mismatch");
         x0.iter()

@@ -200,7 +200,6 @@ impl SymbolicLu {
         Self::with_ordering(pattern, Some(kind))
     }
 
-    // vaem-lint: cold symbolic skeleton construction, once per sparsity pattern
     fn with_ordering(
         pattern: &SparsityPattern,
         forced: Option<OrderingKind>,
@@ -293,7 +292,6 @@ impl SymbolicLu {
     /// only its own structure handle; the donor and the other workers are
     /// unaffected. The stale-fallback counter of the new handle starts at
     /// zero.
-    // vaem-lint: cold warm-start seed cloning, once per sparsity pattern
     pub fn seed_from(&self) -> Self {
         Self {
             core: Arc::clone(&self.core),
@@ -370,7 +368,6 @@ impl SymbolicLu {
     ) -> Result<SparseLu<T>, SparseError> {
         if !self.core.pattern.matches(a) {
             return Err(SparseError::DimensionMismatch {
-                // vaem-lint: allow(H1) pattern-mismatch error message, failure path only
                 detail: format!(
                     "matrix ({}x{}, {} nnz) does not share the analyzed sparsity pattern \
                      ({}x{}, {} nnz)",
@@ -383,7 +380,6 @@ impl SymbolicLu {
                 ),
             });
         }
-        // vaem-lint: allow(H2) Arc refcount bump sharing the symbolic structure with the refactor
         if let Some(structure) = self.structure.clone() {
             match self.refactor_numeric(a, &structure, threads) {
                 Ok(lu) => return Ok(lu),
@@ -409,7 +405,6 @@ impl SymbolicLu {
     /// update unconditionally — the same operation sequence the blocked
     /// refactorization replays, so a replay with identical values
     /// reproduces identical factor bits.
-    // vaem-lint: cold symbolic analysis + first factorization, once per pattern; the per-iteration path is refactor_numeric
     fn factor_full<T: Scalar>(&mut self, a: &CsrMatrix<T>) -> Result<SparseLu<T>, SparseError> {
         // Own a handle so the pattern data stays readable while
         // `self.structure` is replaced at the end.
@@ -621,15 +616,12 @@ impl SymbolicLu {
         let core = &*self.core;
         let n = core.n;
         let vals = a.values();
-        // vaem-lint: allow(H1) factor value buffers sized to the symbolic pattern, once per refactor
         let mut l_vals = vec![T::zero(); st.l_rows.len()];
-        // vaem-lint: allow(H1) factor value buffers sized to the symbolic pattern, once per refactor
         let mut u_vals = vec![T::zero(); st.u_rows.len()];
 
         if threads <= 1 || n <= 1 {
             // Serial path: ascending column order is a valid topological
             // order of the dependency DAG.
-            // vaem-lint: allow(H1) dense scatter column, once per refactor (serial path)
             let mut x = vec![T::zero(); n];
             let (lv, uv) = (l_vals.as_mut_ptr(), u_vals.as_mut_ptr());
             for j in 0..n {
@@ -650,7 +642,6 @@ impl SymbolicLu {
             // Capture the wrappers by reference — disjoint field captures
             // of the raw pointers would sidestep their Send/Sync impls.
             let (lptr, uptr, failed_ref) = (&lptr, &uptr, &failed);
-            // vaem-lint: allow(H1) dense scatter column, once per refactor
             let mut serial_x = vec![T::zero(); n];
             for lev in 0..st.level_ptr.len().saturating_sub(1) {
                 let cols = &st.level_cols[st.level_ptr[lev]..st.level_ptr[lev + 1]];
@@ -675,7 +666,6 @@ impl SymbolicLu {
                         threads,
                         chunk,
                         cols.len(),
-                        // vaem-lint: allow(H1) per-thread scratch factory: one dense column per worker, the pattern H1 asks for
                         || vec![T::zero(); n],
                         |x, i| {
                             if failed_ref.load(AtomicOrdering::Relaxed) != usize::MAX {
@@ -705,22 +695,16 @@ impl SymbolicLu {
             }
         }
 
-        // vaem-lint: allow(H1) row-permutation materialization, once per refactor
         let prow_orig: Vec<usize> = st.prow.iter().map(|&r| core.perm[r]).collect();
         Ok(SparseLu::from_parts(
             n,
-            // vaem-lint: allow(H2) shares the symbolic skeleton into the returned factor, once per refactor
             st.l_colptr.clone(),
-            // vaem-lint: allow(H2) shares the symbolic skeleton into the returned factor, once per refactor
             st.l_rows.clone(),
             l_vals,
-            // vaem-lint: allow(H2) shares the symbolic skeleton into the returned factor, once per refactor
             st.u_colptr.clone(),
-            // vaem-lint: allow(H2) shares the symbolic skeleton into the returned factor, once per refactor
             st.u_rows.clone(),
             u_vals,
             prow_orig,
-            // vaem-lint: allow(H2) shares the symbolic skeleton into the returned factor, once per refactor
             Some(core.perm.clone()),
         ))
     }

@@ -39,7 +39,6 @@ impl<T: Scalar> TripletMatrix<T> {
     }
 
     /// Creates an empty buffer with pre-allocated capacity.
-    // vaem-lint: cold assembly-buffer construction
     pub fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
         Self {
             rows,
@@ -109,7 +108,6 @@ impl<T: Scalar> TripletMatrix<T> {
     pub fn assemble_into(&self, target: &mut CsrMatrix<T>) -> Result<(), SparseError> {
         if target.rows() != self.rows || target.cols() != self.cols {
             return Err(SparseError::DimensionMismatch {
-                // vaem-lint: allow(H1) assembly-error message, constructed only on dimension mismatch
                 detail: format!(
                     "assembly buffer is {}x{} but the target matrix is {}x{}",
                     self.rows,
