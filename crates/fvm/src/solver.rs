@@ -29,7 +29,7 @@ pub struct SolverOptions {
     pub newton_tolerance: f64,
     /// Reuse the solver state published on the shared [`SolverTopology`]
     /// by the first solve — normally the nominal sample: the symbolic LU
-    /// phase (ordering selection + pivot structure) so every later sample's
+    /// phase (ordering + pivot structure) so every later sample's
     /// direct factorizations are numeric-only, and the ILU(0) values so
     /// samples on iterative strategies start from the nominal's
     /// preconditioner (their lazy refresh policy rebuilding only when it

@@ -20,7 +20,7 @@ pub mod rules;
 
 use budget::Budget;
 use rules::{Finding, Rule};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Name of the budget file at the workspace root.
@@ -35,6 +35,8 @@ pub struct WorkspaceReport {
     pub waived: Vec<(String, Finding, String)>,
     /// Observed per-file D5 site counts (after waivers, zero counts kept).
     pub d5_counts: Budget,
+    /// Files holding `unsafe` outside test code.
+    pub unsafe_files: BTreeSet<String>,
     /// Number of files linted.
     pub files_checked: usize,
 }
@@ -134,6 +136,9 @@ pub fn lint_files(
         for (f, reason) in file.waived {
             report.waived.push((rel.clone(), f, reason));
         }
+        if file.has_unsafe {
+            report.unsafe_files.insert(rel.clone());
+        }
         let count = file.d5_sites.len();
         let allowed = budget_map.get(rel).copied().unwrap_or(0);
         if count > allowed {
@@ -185,7 +190,8 @@ pub fn lint_files(
 /// file (missing file = empty budget), lint everything. On strict runs the
 /// full file set is known, so a budget entry for a file that no longer
 /// exists is reported as a stale-budget violation (anchored at the budget
-/// file itself) instead of lingering silently.
+/// file itself) instead of lingering silently, and so is a D4-allowlisted
+/// file that holds no `unsafe` outside its tests (anchored at that file).
 ///
 /// # Errors
 /// Propagates I/O and budget-parse failures.
@@ -207,6 +213,21 @@ pub fn lint_workspace(root: &Path, strict_budget: bool) -> Result<WorkspaceRepor
                     ),
                 },
             ));
+        }
+        for &rel in rules::D4_UNSAFE_FILES {
+            if !report.unsafe_files.contains(rel) {
+                report.violations.push((
+                    rel.to_string(),
+                    Finding {
+                        rule: Rule::D4,
+                        line: 1,
+                        col: 1,
+                        message: "allowlisted for `unsafe` but holds none outside \
+                                  tests: remove it from `D4_UNSAFE_FILES`"
+                            .to_string(),
+                    },
+                ));
+            }
         }
     }
     Ok(report)

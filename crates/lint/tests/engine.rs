@@ -3,7 +3,8 @@
 //! so a lexer or rule regression shows up as a changed triple, not just a
 //! changed count.
 
-use vaem_lint::rules::{lint_source, FileReport};
+use vaem_lint::lint_workspace;
+use vaem_lint::rules::{lint_source, FileReport, D4_UNSAFE_FILES};
 
 /// The `(rule id, line)` pairs of a report's unwaived violations, sorted.
 fn violation_pairs(report: &FileReport) -> Vec<(&str, usize)> {
@@ -72,7 +73,7 @@ fn unsafe_fixture_flags_missing_safety_comments() {
     // violate: the bare block (line 11) and the Sync impl whose comment
     // is separated by the Send impl (line 17).
     let report = lint_source(
-        "crates/numeric/src/panel.rs",
+        "crates/parallel/src/lib.rs",
         include_str!("fixtures/bad_unsafe.rs"),
     );
     assert_eq!(violation_pairs(&report), vec![("D4", 11), ("D4", 17)]);
@@ -88,6 +89,41 @@ fn unsafe_fixture_outside_allowlist_flags_every_token() {
         violation_pairs(&report),
         vec![("D4", 7), ("D4", 11), ("D4", 16), ("D4", 17)]
     );
+}
+
+#[test]
+fn strict_runs_flag_an_allowlisted_file_without_unsafe() {
+    // A scratch workspace holding just the allowlisted files. While their
+    // only `unsafe` sits in a test module, a strict run reports each of
+    // them and a lenient run reports nothing; once each holds a documented
+    // `unsafe fn`, the strict run is clean too.
+    let root = std::env::temp_dir().join(format!("vaem-lint-d4-{}", std::process::id()));
+    let write_all = |source: &str| {
+        for rel in D4_UNSAFE_FILES {
+            let path = root.join(rel);
+            std::fs::create_dir_all(path.parent().expect("file has a parent")).unwrap();
+            std::fs::write(&path, source).unwrap();
+        }
+    };
+    write_all(
+        "pub fn safe() {}\n\n#[cfg(test)]\nmod tests {\n    // SAFETY: nothing to uphold.\n    unsafe fn f() {}\n}\n",
+    );
+    let strict = lint_workspace(&root, true).unwrap();
+    let lenient = lint_workspace(&root, false).unwrap();
+    write_all("/// # Safety\n/// Nothing to uphold.\npub unsafe fn f() {}\n");
+    let with_unsafe = lint_workspace(&root, true).unwrap();
+    std::fs::remove_dir_all(&root).unwrap();
+
+    let flagged: Vec<(&str, &str, usize)> = strict
+        .violations
+        .iter()
+        .map(|(path, f)| (path.as_str(), f.rule.id(), f.line))
+        .collect();
+    let expected: Vec<(&str, &str, usize)> =
+        D4_UNSAFE_FILES.iter().map(|&rel| (rel, "D4", 1)).collect();
+    assert_eq!(flagged, expected);
+    assert!(lenient.is_clean());
+    assert!(with_unsafe.is_clean());
 }
 
 #[test]

@@ -223,11 +223,10 @@ where
 
 /// Maps `f` over the indices `0..len` on up to `threads` workers, each
 /// owning one private state built by `init` **on the calling thread** —
-/// the primitive behind the level-scheduled parallel numeric factorization
-/// (one dense scatter column per worker) and the batched Krylov solve of a
-/// prepared operator (one BiCGSTAB workspace and right-hand-side buffer per
-/// worker). Building the states before the fan-out keeps their buffers in
-/// the caller's allocator arena instead of one per worker thread.
+/// the primitive behind the batched Krylov solve of a prepared operator
+/// (one BiCGSTAB workspace and right-hand-side buffer per worker). Building
+/// the states before the fan-out keeps their buffers in the caller's
+/// allocator arena instead of one per worker thread.
 ///
 /// `f` receives `(&mut state, index)` and its results are returned in index
 /// order. Every index is claimed by exactly one worker through the same

@@ -343,31 +343,6 @@ impl<T: Scalar> CsrMatrix<T> {
         }
         Ok(())
     }
-
-    /// Applies a symmetric permutation `B = A(p, p)` where `perm[new] = old`.
-    ///
-    /// # Panics
-    /// Panics if the permutation length differs from the matrix dimension or
-    /// the matrix is not square.
-    pub fn permute_symmetric(&self, perm: &[usize]) -> Self {
-        assert!(
-            self.rows == self.cols,
-            "symmetric permutation needs a square matrix"
-        );
-        assert_eq!(perm.len(), self.rows, "permutation length mismatch");
-        // inverse permutation: inv[old] = new
-        let mut inv = vec![0usize; perm.len()];
-        for (new, &old) in perm.iter().enumerate() {
-            inv[old] = new;
-        }
-        let mut triplets = Vec::with_capacity(self.nnz());
-        for r in 0..self.rows {
-            for (c, v) in self.row_entries(r) {
-                triplets.push((inv[r], inv[c], v));
-            }
-        }
-        Self::from_triplets(self.rows, self.cols, &triplets)
-    }
 }
 
 #[cfg(test)]
@@ -479,18 +454,6 @@ mod tests {
         let y = a.matvec(&[Complex64::ONE, Complex64::ONE]);
         assert_eq!(y[0], i);
         assert_eq!(y[1], Complex64::new(-1.0, 0.0));
-    }
-
-    #[test]
-    fn symmetric_permutation_preserves_values() {
-        let a = laplacian_1d(4);
-        let perm = vec![3, 2, 1, 0];
-        let b = a.permute_symmetric(&perm);
-        // reversing twice restores
-        let c = b.permute_symmetric(&perm);
-        assert_eq!(a, c);
-        assert_eq!(b.get(0, 0), 2.0);
-        assert_eq!(b.get(0, 1), -1.0);
     }
 
     #[test]

@@ -14,16 +14,15 @@
 //!   triangular sweeps run independent rows back to back.
 //! * [`BiCgStab`] — the preconditioned Krylov solver for the
 //!   non-symmetric complex systems.
-//! * [`SparseLu`] — a left-looking (Gilbert–Peierls style) direct sparse LU
-//!   with partial pivoting, used as a robust fallback and for smaller meshes.
-//! * [`SymbolicLu`] — the symbolic phase of the direct LU cached per
-//!   [`SparsityPattern`] (fill-reducing ordering, pivot sequence, factor
-//!   structure, supernode partition and elimination-level schedule) so
-//!   repeated factorizations on one pattern pay only a supernode-blocked,
-//!   optionally tree-parallel numeric cost.
-//! * [`rcm`] and [`amd`] — reverse Cuthill–McKee and approximate minimum
-//!   degree orderings; [`SymbolicLu`] keeps whichever [`predicted_fill`]
-//!   scores better for the pattern at hand.
+//! * [`SymbolicLu`] — the direct sparse LU: a left-looking (Gilbert–Peierls
+//!   style) factorization with partial pivoting whose symbolic phase
+//!   (fill-reducing ordering, pivot sequence, factor structure and
+//!   supernode partition) is cached per [`SparsityPattern`], so repeated
+//!   factorizations on one pattern pay only a serial, supernode-blocked
+//!   numeric cost. Its [`SparseLu`] factors share that recorded structure
+//!   and answer the triangular solves.
+//! * [`amd`] — the approximate-minimum-degree ordering [`SymbolicLu`]
+//!   applies to every pattern.
 //! * [`LinearSolver`] — a front-end that picks a strategy (the direct LU,
 //!   or ILU(0)+BiCGSTAB with a direct-LU rescue) and prepares a
 //!   [`PreparedSolver`], whose solves report [`SolveReport`] statistics.
@@ -75,7 +74,7 @@ pub use csr::{CsrMatrix, SparsityPattern};
 pub use error::SparseError;
 pub use ilu::Ilu0;
 pub use lu::SparseLu;
-pub use ordering::{amd, predicted_fill, rcm, OrderingKind};
+pub use ordering::amd;
 pub use scaling::RowColScaling;
 pub use solver::{IluSeed, LinearSolver, PreparedSolver, SolveReport, SolverKind};
 pub use symbolic::SymbolicLu;

@@ -1,96 +1,13 @@
-//! Fill-reducing / bandwidth-reducing orderings.
+//! The fill-reducing ordering of the direct LU.
 //!
-//! The structured FVM grids produce matrices whose natural ordering is
-//! already banded, but the coupled multi-field numbering (V, n, p blocks)
-//! benefits from a fill-reducing pass before ILU(0) or the direct LU. Two
-//! orderings are provided — reverse Cuthill–McKee ([`rcm`], profile
-//! reduction) and approximate minimum degree ([`amd`], fill reduction) —
-//! plus an exact symbolic-Cholesky fill predictor ([`predicted_fill`]) that
-//! lets `SymbolicLu` pick the cheaper of the two per pattern.
+//! [`crate::SymbolicLu`] permutes every pattern symmetrically by
+//! approximate minimum degree ([`amd`]) before its first pivoting
+//! factorization. On the FVM meshes, single-via and array alike, AMD
+//! leaves less fill than reverse Cuthill–McKee, so it is the only
+//! ordering.
 
 use crate::CsrMatrix;
 use vaem_numeric::Scalar;
-
-/// Which fill-reducing ordering a symbolic analysis selected for a pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OrderingKind {
-    /// Reverse Cuthill–McKee: bandwidth/profile reduction ([`rcm`]).
-    Rcm,
-    /// Approximate minimum degree: fill reduction ([`amd`]).
-    Amd,
-}
-
-/// Computes a reverse Cuthill–McKee ordering of the symmetrized pattern of
-/// `a` and returns a permutation `perm` with `perm[new] = old`.
-///
-/// The ordering reduces the bandwidth/profile, which improves the quality of
-/// ILU(0) and the fill of the direct sparse LU.
-///
-/// # Example
-/// ```
-/// use vaem_sparse::{CsrMatrix, rcm};
-/// // An "arrow" matrix: node 0 connected to everyone (worst case for banding).
-/// let mut t = vec![(0usize, 0usize, 1.0)];
-/// for i in 1..6 {
-///     t.push((i, i, 1.0));
-///     t.push((0, i, 1.0));
-///     t.push((i, 0, 1.0));
-/// }
-/// let a = CsrMatrix::from_triplets(6, 6, &t);
-/// let perm = rcm(&a);
-/// // The result is a permutation of all node indices.
-/// let mut sorted = perm.clone();
-/// sorted.sort();
-/// assert_eq!(sorted, (0..6).collect::<Vec<_>>());
-/// // RCM starts the reversed order away from the high-degree hub.
-/// assert_ne!(perm[perm.len() - 1], 0);
-/// ```
-pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
-    let n = a.rows();
-    // Build the symmetrized adjacency (pattern of A + Aᵀ, excluding the diagonal).
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for r in 0..n {
-        for (c, _) in a.row_entries(r) {
-            if c != r && c < n {
-                adj[r].push(c);
-                adj[c].push(r);
-            }
-        }
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
-    let degree: Vec<usize> = adj.iter().map(|l| l.len()).collect();
-
-    let mut visited = vec![false; n];
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-
-    loop {
-        // Pick the unvisited node of minimum degree as the next component seed.
-        let seed = (0..n).filter(|&i| !visited[i]).min_by_key(|&i| degree[i]);
-        let seed = match seed {
-            Some(s) => s,
-            None => break,
-        };
-        visited[seed] = true;
-        queue.push_back(seed);
-        while let Some(u) = queue.pop_front() {
-            order.push(u);
-            let mut neighbours: Vec<usize> =
-                adj[u].iter().copied().filter(|&v| !visited[v]).collect();
-            neighbours.sort_by_key(|&v| degree[v]);
-            for v in neighbours {
-                visited[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-
-    order.reverse();
-    order
-}
 
 /// Computes an approximate-minimum-degree (AMD) ordering of the symmetrized
 /// pattern of `a` and returns a permutation `perm` with `perm[new] = old`.
@@ -103,11 +20,6 @@ pub fn rcm<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
 /// structure iterates in deterministic order, so the ordering is a pure
 /// function of the pattern — a requirement for the seeded factorization
 /// donors, which must replay the exact same ordering on every worker.
-///
-/// On the FVM meshes AMD trades RCM's banded profile for substantially less
-/// factor fill once the mesh is three-dimensional enough that the bandwidth
-/// itself grows superlinearly; [`predicted_fill`] quantifies the trade per
-/// pattern.
 pub fn amd<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
     let n = a.rows();
     // Symmetrized off-diagonal adjacency, deduplicated and sorted.
@@ -229,83 +141,6 @@ pub fn amd<T: Scalar>(a: &CsrMatrix<T>) -> Vec<usize> {
     order
 }
 
-/// Exact factor size `nnz(L)` (diagonal included) of the symbolic Cholesky
-/// factorization of the symmetrized pattern of `a` under the ordering
-/// `perm` (`perm[new] = old`) — the fill predictor `SymbolicLu` uses to
-/// choose between [`rcm`] and [`amd`] per pattern.
-///
-/// Uses Liu's elimination-tree characterization: `L(i, k) ≠ 0` iff `k` lies
-/// on the tree path from some `j` with `A(i, j) ≠ 0, j < i` up to `i`. The
-/// tree is built incrementally and each row's subtree is walked once via
-/// the parent links with per-row visit marks, so the whole count costs
-/// `O(nnz(L) + nnz(A))` — each counted entry is one climb step. For the
-/// pivoting LU the number is a prediction, not a guarantee — off-diagonal
-/// pivoting adds fill the Cholesky model does not see — but the *relative*
-/// comparison between two orderings of one pattern is what drives the
-/// selection.
-///
-/// # Panics
-/// Panics when `perm` is not a permutation of `0..a.rows()`.
-pub fn predicted_fill<T: Scalar>(a: &CsrMatrix<T>, perm: &[usize]) -> usize {
-    let n = a.rows();
-    assert_eq!(perm.len(), n, "predicted_fill: permutation length");
-    let mut inv = vec![usize::MAX; n];
-    for (new, &old) in perm.iter().enumerate() {
-        inv[old] = new;
-    }
-    assert!(
-        inv.iter().all(|&p| p != usize::MAX),
-        "predicted_fill: perm is not a permutation"
-    );
-    // Strictly-lower symmetrized adjacency in permuted coordinates:
-    // `lower[i]` holds the columns j < i of row i (duplicates are fine —
-    // the second visit stops at the row marker).
-    let mut lower: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for r in 0..n {
-        for (c, _) in a.row_entries(r) {
-            if c != r && c < n {
-                let (pr, pc) = (inv[r], inv[c]);
-                let (hi, lo) = if pr > pc { (pr, pc) } else { (pc, pr) };
-                lower[hi].push(lo);
-            }
-        }
-    }
-
-    let mut parent = vec![usize::MAX; n];
-    let mut visited = vec![usize::MAX; n];
-    let mut nnz = n; // the diagonal
-    for i in 0..n {
-        visited[i] = i;
-        for &j in &lower[i] {
-            // Climb from j towards i along the (incrementally built) tree;
-            // every first-visited node k contributes the entry L(i, k).
-            let mut k = j;
-            while visited[k] != i {
-                visited[k] = i;
-                nnz += 1;
-                if parent[k] == usize::MAX {
-                    parent[k] = i;
-                    break;
-                }
-                k = parent[k];
-            }
-        }
-    }
-    nnz
-}
-
-/// Computes the bandwidth of a square matrix (maximum |i − j| over stored
-/// entries); used to verify that an ordering actually helps.
-pub fn bandwidth<T: Scalar>(a: &CsrMatrix<T>) -> usize {
-    let mut bw = 0usize;
-    for r in 0..a.rows() {
-        for (c, _) in a.row_entries(r) {
-            bw = bw.max(r.abs_diff(c));
-        }
-    }
-    bw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,58 +171,6 @@ mod tests {
             }
         }
         CsrMatrix::from_triplets(n, n, &t)
-    }
-
-    #[test]
-    fn rcm_is_a_permutation() {
-        let a = scrambled_grid(7);
-        let perm = rcm(&a);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..a.rows()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rcm_reduces_bandwidth_of_scrambled_grid() {
-        let a = scrambled_grid(9);
-        let before = bandwidth(&a);
-        let perm = rcm(&a);
-        let b = a.permute_symmetric(&perm);
-        let after = bandwidth(&b);
-        assert!(
-            after < before,
-            "bandwidth should shrink: {after} vs {before}"
-        );
-    }
-
-    #[test]
-    fn handles_disconnected_components() {
-        // Two decoupled 2x2 blocks.
-        let a = CsrMatrix::from_triplets(
-            4,
-            4,
-            &[
-                (0, 0, 1.0),
-                (0, 1, 1.0),
-                (1, 0, 1.0),
-                (1, 1, 1.0),
-                (2, 2, 1.0),
-                (2, 3, 1.0),
-                (3, 2, 1.0),
-                (3, 3, 1.0),
-            ],
-        );
-        let perm = rcm(&a);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn empty_pattern_matrix_still_permutes() {
-        let a = CsrMatrix::<f64>::from_triplets(3, 3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
-        let perm = rcm(&a);
-        assert_eq!(perm.len(), 3);
     }
 
     /// 3-D 7-point grid Laplacian — the pattern class of the FVM systems.
@@ -467,53 +250,20 @@ mod tests {
     }
 
     #[test]
-    fn predicted_fill_is_exact_on_a_tridiagonal_chain() {
-        // A chain has no fill at all in its natural order: nnz(L) = 2n − 1.
-        let n = 17;
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 2.0));
-            if i > 0 {
-                t.push((i, i - 1, -1.0));
-                t.push((i - 1, i, -1.0));
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, n, &t);
-        let identity: Vec<usize> = (0..n).collect();
-        assert_eq!(predicted_fill(&a, &identity), 2 * n - 1);
-        // Eliminating the chain from both ends inward is also fill-free.
-        let reversed: Vec<usize> = (0..n).rev().collect();
-        assert_eq!(predicted_fill(&a, &reversed), 2 * n - 1);
-    }
-
-    #[test]
-    fn predicted_fill_sees_the_arrow_matrix_trap() {
-        // Arrow matrix: hub first = dense factor, hub last = no fill.
+    fn amd_factors_the_arrow_matrix_without_fill() {
+        // Arrow matrix: eliminating the hub first fills the whole factor,
+        // eliminating it last fills nothing. AMD takes the fill-free end,
+        // so the factor holds exactly the matrix's 3n − 2 entries: 2n − 1
+        // in L with its unit diagonal and 2n − 1 in U.
         let n = 12;
-        let mut t = vec![(0usize, 0usize, 1.0)];
+        let mut t = vec![(0usize, 0usize, 4.0 * n as f64)];
         for i in 1..n {
-            t.push((i, i, 1.0));
+            t.push((i, i, 4.0));
             t.push((0, i, 1.0));
             t.push((i, 0, 1.0));
         }
         let a = CsrMatrix::from_triplets(n, n, &t);
-        let hub_first: Vec<usize> = (0..n).collect();
-        let hub_last: Vec<usize> = (1..n).chain(std::iter::once(0)).collect();
-        assert_eq!(predicted_fill(&a, &hub_first), n * (n + 1) / 2);
-        assert_eq!(predicted_fill(&a, &hub_last), 2 * n - 1);
-        // AMD finds the fill-free end of that trade-off.
-        let amd_perm = amd(&a);
-        assert_eq!(predicted_fill(&a, &amd_perm), 2 * n - 1);
-    }
-
-    #[test]
-    fn amd_predicts_less_fill_than_rcm_on_a_3d_grid() {
-        let a = grid_3d(6);
-        let fill_rcm = predicted_fill(&a, &rcm(&a));
-        let fill_amd = predicted_fill(&a, &amd(&a));
-        assert!(
-            fill_amd < fill_rcm,
-            "AMD should out-order RCM on a 3-D mesh: {fill_amd} vs {fill_rcm}"
-        );
+        let lu = crate::SymbolicLu::analyze(&a).unwrap().factor(&a).unwrap();
+        assert_eq!(lu.factor_nnz(), 3 * n - 2);
     }
 }

@@ -261,8 +261,8 @@ impl LinearSolver {
     /// matches `a` (after equilibration — scaling changes values, never the
     /// pattern) and whose pivot structure is recorded, the direct
     /// factorization starts from [`SymbolicLu::seed_from`] and pays only
-    /// the numeric phase — no ordering selection, no reachability DFS, no
-    /// pivot search. A seed whose pivots are numerically stale for `a`
+    /// the numeric phase — no ordering, no reachability DFS, no pivot
+    /// search. A seed whose pivots are numerically stale for `a`
     /// re-pivots transparently inside this solver's own handle (see
     /// [`PreparedSolver::direct_stale_fallbacks`]); a seed with a foreign
     /// pattern is ignored and the full analysis runs.
@@ -323,7 +323,7 @@ impl LinearSolver {
             }
         };
         let factorization = match self.kind {
-            SolverKind::DirectLu => direct_factorization(&scaled, seed)?,
+            SolverKind::DirectLu => Factorization::Direct(direct_factorization(&scaled, seed)?),
             SolverKind::IluBiCgStab => Factorization::Ilu {
                 state: ilu_state(&scaled)?,
                 direct_rescue: false,
@@ -340,7 +340,7 @@ impl LinearSolver {
                 };
                 if a.rows() <= threshold {
                     match direct_factorization(&scaled, seed) {
-                        Ok(direct) => direct,
+                        Ok(direct) => Factorization::Direct(direct),
                         Err(_) => Factorization::Ilu {
                             state: ilu_state(&scaled)?,
                             direct_rescue: true,
@@ -352,7 +352,7 @@ impl LinearSolver {
                             state,
                             direct_rescue: true,
                         },
-                        Err(_) => direct_factorization(&scaled, seed)?,
+                        Err(_) => Factorization::Direct(direct_factorization(&scaled, seed)?),
                     }
                 }
             }
@@ -521,17 +521,14 @@ impl<T: Scalar> IluRefresh<T> {
 fn direct_factorization<T: Scalar>(
     scaled: &CsrMatrix<T>,
     seed: Option<&SymbolicLu>,
-) -> Result<Factorization<T>, SparseError> {
+) -> Result<Box<DirectFactorization<T>>, SparseError> {
     fault_check(FaultSite::Pivot)?;
     let mut symbolic = match seed {
         Some(donor) if donor.has_structure() && donor.matches(scaled) => donor.seed_from(),
         _ => SymbolicLu::analyze(scaled)?,
     };
     let numeric = symbolic.factor(scaled)?;
-    Ok(Factorization::Direct(Box::new(DirectFactorization {
-        symbolic,
-        numeric,
-    })))
+    Ok(Box::new(DirectFactorization { symbolic, numeric }))
 }
 
 /// A factorized linear system ready to solve many right-hand sides.
@@ -657,7 +654,8 @@ impl<T: Scalar> PreparedSolver<T> {
                     Ok(lu) => direct.numeric = lu,
                     Err(SparseError::DimensionMismatch { .. }) => {
                         // The sparsity pattern itself changed: re-analyze.
-                        self.factorization = direct_factorization(&scaled, None)?;
+                        self.factorization =
+                            Factorization::Direct(direct_factorization(&scaled, None)?);
                     }
                     Err(err) => return Err(err),
                 }
@@ -701,7 +699,6 @@ impl<T: Scalar> PreparedSolver<T> {
             });
         }
         let bs = self.scaling.scale_rhs(b);
-        let guess_scaled = x0.map(|g| self.scaling.scale_guess(g));
         // Injected Krylov non-convergence fails BiCGSTAB and skips the
         // rebuild retry but leaves the direct rescue below untouched — the
         // fault exercises the escalation instead of one solver call.
@@ -711,10 +708,10 @@ impl<T: Scalar> PreparedSolver<T> {
         // bicgstab → direct chain.
         let Self {
             scaled,
+            scaling,
             factorization,
             options,
             bicgstab_ws,
-            ..
         } = &mut *self;
         let outcome = match factorization {
             Factorization::Direct(direct) => Some((direct.numeric.solve(&bs)?, "sparse-lu", 0)),
@@ -723,6 +720,7 @@ impl<T: Scalar> PreparedSolver<T> {
                 direct_rescue,
             } => {
                 state.ensure_baselined(scaled);
+                let guess_scaled = x0.map(|g| scaling.scale_guess(g));
                 let guess = guess_scaled.as_deref();
                 let mut attempt =
                     bicgstab_attempt(scaled, &state.ilu, *options, &bs, guess, bicgstab_ws);
@@ -755,11 +753,8 @@ impl<T: Scalar> PreparedSolver<T> {
                 // symbolic phase, so later refactors stay cheap), keep it
                 // for every subsequent solve, and answer from it.
                 let direct = direct_factorization(&self.scaled, None)?;
-                let y = match &direct {
-                    Factorization::Direct(d) => d.numeric.solve(&bs)?,
-                    _ => unreachable!("direct_factorization returns Direct"),
-                };
-                self.factorization = direct;
+                let y = direct.numeric.solve(&bs)?;
+                self.factorization = Factorization::Direct(direct);
                 (y, "sparse-lu", 0)
             }
         };

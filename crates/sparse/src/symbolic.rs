@@ -1,19 +1,15 @@
 //! Symbolic/numeric split of the direct sparse LU.
 //!
-//! [`SparseLu::new`] redoes the whole pipeline — fill-reducing ordering is
-//! absent, the reachability DFS and the pivot search run per column — on
-//! every call. Workloads that factorize many matrices with one sparsity
-//! pattern (Newton iterations, frequency sweeps, perturbed samples) only
-//! change the *values*, so [`SymbolicLu`] caches everything that depends on
-//! the pattern alone:
+//! Workloads that factorize many matrices with one sparsity pattern
+//! (Newton iterations, frequency sweeps, perturbed samples) only change the
+//! *values*, so [`SymbolicLu`] caches everything that depends on the
+//! pattern alone:
 //!
-//! * the better of two fill-reducing orderings — reverse Cuthill–McKee and
-//!   approximate minimum degree — selected per pattern by exact predicted
-//!   factor size ([`crate::ordering::predicted_fill`]) and recorded in the
-//!   shared analysis so every seeded clone replays the same choice,
+//! * the approximate-minimum-degree ordering ([`crate::ordering::amd`]) and
+//!   the column access of the permuted matrix,
 //! * after the first numeric factorization: the pivot sequence, the full
-//!   structural patterns of `L` and `U`, the supernode partition of the
-//!   factor columns and a level schedule of the column dependency DAG.
+//!   structural patterns of `L` and `U` and the supernode partition of the
+//!   factor columns.
 //!
 //! Subsequent [`SymbolicLu::factor`] calls then pay only the numeric phase,
 //! and that phase is **supernode-blocked**: runs of consecutive pivot
@@ -22,16 +18,6 @@
 //! column update at a time. Per scatter target the fused kernel performs
 //! the same floating-point operations in the same order as the scalar
 //! elimination, so blocking changes throughput, never bits.
-//!
-//! The numeric phase can also run **in parallel across the elimination
-//! tree**: columns are scheduled level by level (a column's dependencies —
-//! the pivots appearing in its `U` column — always sit in strictly earlier
-//! levels), with the fan-out going through [`vaem_parallel::par_map_init`]
-//! so each worker owns a private dense scratch column. Every column's
-//! factor values are a pure function of the matrix values and of its
-//! dependencies' finished columns, so the factors are **bit-identical at
-//! any thread count** (including the serial path, which just walks columns
-//! in ascending order — itself a valid topological order).
 //!
 //! A cached pivot that becomes numerically unstable for the new values
 //! triggers a transparent fresh pivoting factorization (which also
@@ -43,16 +29,17 @@
 //! map) and the recorded structure are both behind [`Arc`]s:
 //! [`SymbolicLu::seed_from`] hands each worker its own handle onto the
 //! donor's analysis and pivot structure for the cost of two reference-count
-//! bumps, and the worker's first `factor` call is already numeric-only. The
+//! bumps, and the worker's first `factor` call is already numeric-only.
+//! Every [`SparseLu`] holds the recorded structure by the same `Arc`, so a
+//! refactorization allocates only its values and one scratch column. The
 //! numeric refactorization eliminates in ascending pivot order — the exact
 //! order the recording factorization used — so for the *same* values it
 //! reproduces the donor's factors bit for bit, which is what keeps a seeded
 //! sample sweep bit-identical to an unseeded one whenever the perturbed
 //! pivots stay on the nominal sequence.
 
-use crate::ordering::{self, OrderingKind};
+use crate::ordering;
 use crate::{CsrMatrix, SparseError, SparseLu, SparsityPattern};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use vaem_numeric::{panel, Scalar};
 
@@ -61,11 +48,6 @@ use vaem_numeric::{panel, Scalar};
 /// cached pivot sequence is considered stale and the factorization restarts
 /// with fresh partial pivoting.
 const REFACTOR_PIVOT_TOL: f64 = 1e-10;
-
-/// Minimum number of columns in one elimination level before the parallel
-/// numeric phase fans the level out to worker threads; narrower levels run
-/// on the calling thread (spawning would cost more than it saves).
-const PAR_MIN_LEVEL_COLS: usize = 16;
 
 /// The reusable symbolic phase of the sparse LU for one sparsity pattern.
 ///
@@ -110,10 +92,7 @@ pub struct SymbolicLu {
 struct SymbolicCore {
     n: usize,
     pattern: SparsityPattern,
-    /// Which fill-reducing ordering won the per-pattern selection; recorded
-    /// here so seeded clones replay the identical choice.
-    kind: OrderingKind,
-    /// The selected fill-reducing ordering, `perm[new] = old`.
+    /// The AMD ordering, `perm[new] = old`.
     perm: Vec<usize>,
     /// Column access of the permuted matrix `Ap = A(p, p)`: per permuted
     /// column, the permuted row indices and the positions of the values in
@@ -124,18 +103,21 @@ struct SymbolicCore {
     col_src: Vec<usize>,
 }
 
-/// Structural output of one pivoting factorization, all row indices in pivot
-/// coordinates of the permuted matrix.
-#[derive(Debug, Clone)]
-struct LuStructure {
-    /// `prow[k]` = permuted row chosen as the k-th pivot.
-    prow: Vec<usize>,
+/// Structural output of one pivoting factorization, shared by every
+/// [`SparseLu`] whose values were computed against it. Factor rows are in
+/// pivot coordinates of the permuted matrix.
+#[derive(Debug)]
+pub(crate) struct LuStructure {
+    /// `prow[k]` = original row chosen as the k-th pivot.
+    pub(crate) prow: Vec<usize>,
+    /// `perm[k]` = original column of pivot column `k` (the ordering).
+    pub(crate) perm: Vec<usize>,
     /// `pinv[permuted row]` = pivot index.
     pinv: Vec<usize>,
-    l_colptr: Vec<usize>,
+    pub(crate) l_colptr: Vec<usize>,
     /// Strictly-lower rows per column, sorted ascending.
-    l_rows: Vec<usize>,
-    u_colptr: Vec<usize>,
+    pub(crate) l_rows: Vec<usize>,
+    pub(crate) u_colptr: Vec<usize>,
     /// Upper rows per column, sorted ascending; the diagonal (`== column`)
     /// is therefore the last entry, and the off-diagonal entries walk the
     /// column's dependencies in ascending pivot order — which is exactly
@@ -143,67 +125,22 @@ struct LuStructure {
     /// numeric refactorization use (ascending pivot index is always a
     /// valid topological order: a row of `L(:, k)` that later becomes
     /// pivotal gets a pivot index above `k`).
-    u_rows: Vec<usize>,
+    pub(crate) u_rows: Vec<usize>,
     /// `sn_start[j]` = first column of the supernode containing column `j`.
     /// Supernodes are maximal runs of consecutive columns where each column
     /// `j` satisfies `L(:, j-1) = {j} ∪ L(:, j)` — identical sub-diagonal
     /// structure — so a run of members inside one supernode updates a
     /// target column through one fused dense panel.
     sn_start: Vec<usize>,
-    /// Level schedule of the column dependency DAG: `level_cols[level_ptr
-    /// [l]..level_ptr[l + 1]]` lists (ascending) the columns whose
-    /// dependencies all sit in levels `< l`. Columns of one level are
-    /// independent and can be factorized concurrently.
-    level_ptr: Vec<usize>,
-    level_cols: Vec<usize>,
 }
 
-/// A raw factor-value pointer that may cross the scoped-thread boundary of
-/// the parallel numeric phase.
-///
-/// Safety contract (upheld by [`SymbolicLu::refactor_numeric`]): workers
-/// write only the disjoint `l_vals`/`u_vals` ranges of the columns they
-/// claimed, read only ranges of columns finished in earlier levels (the
-/// per-level join provides the happens-before edge), and the parent does
-/// not touch the buffers until every worker has joined.
-struct ValsPtr<T>(*mut T);
-// SAFETY: the pointee buffers (`l_vals`/`u_vals`) outlive the scoped-thread
-// region, and the contract above guarantees every write targets a column
-// range owned by exactly one worker.
-unsafe impl<T: Send> Send for ValsPtr<T> {}
-// SAFETY: shared references only hand out the raw pointer; all dereferences
-// go through `refactor_column`, which touches disjoint column ranges per
-// worker and reads only columns sealed by an earlier level's join.
-unsafe impl<T: Send> Sync for ValsPtr<T> {}
-
 impl SymbolicLu {
-    /// Analyzes a sparsity pattern: computes both candidate fill-reducing
-    /// orderings (RCM and AMD), keeps whichever predicts the smaller factor
-    /// ([`crate::ordering::predicted_fill`], ties favour RCM), and builds
-    /// the permuted column-access map.
+    /// Analyzes a sparsity pattern: computes the AMD ordering
+    /// ([`crate::ordering::amd`]) and builds the permuted column-access map.
     ///
     /// # Errors
     /// Returns [`SparseError::DimensionMismatch`] for a non-square pattern.
     pub fn new(pattern: &SparsityPattern) -> Result<Self, SparseError> {
-        Self::with_ordering(pattern, None)
-    }
-
-    /// [`SymbolicLu::new`] with the ordering forced instead of selected —
-    /// for tests and benchmarks that pin one side of the comparison.
-    ///
-    /// # Errors
-    /// Same conditions as [`SymbolicLu::new`].
-    pub fn new_with_ordering(
-        pattern: &SparsityPattern,
-        kind: OrderingKind,
-    ) -> Result<Self, SparseError> {
-        Self::with_ordering(pattern, Some(kind))
-    }
-
-    fn with_ordering(
-        pattern: &SparsityPattern,
-        forced: Option<OrderingKind>,
-    ) -> Result<Self, SparseError> {
         let n = pattern.rows();
         if pattern.cols() != n {
             return Err(SparseError::DimensionMismatch {
@@ -214,22 +151,7 @@ impl SymbolicLu {
                 ),
             });
         }
-        let zeros = pattern.zeros::<f64>();
-        let (kind, perm) = match forced {
-            Some(OrderingKind::Rcm) => (OrderingKind::Rcm, ordering::rcm(&zeros)),
-            Some(OrderingKind::Amd) => (OrderingKind::Amd, ordering::amd(&zeros)),
-            None => {
-                let rcm_perm = ordering::rcm(&zeros);
-                let amd_perm = ordering::amd(&zeros);
-                let rcm_fill = ordering::predicted_fill(&zeros, &rcm_perm);
-                let amd_fill = ordering::predicted_fill(&zeros, &amd_perm);
-                if amd_fill < rcm_fill {
-                    (OrderingKind::Amd, amd_perm)
-                } else {
-                    (OrderingKind::Rcm, rcm_perm)
-                }
-            }
-        };
+        let perm = ordering::amd(&pattern.zeros::<f64>());
         let mut inv = vec![0usize; n];
         for (new, &old) in perm.iter().enumerate() {
             inv[old] = new;
@@ -260,7 +182,6 @@ impl SymbolicLu {
             core: Arc::new(SymbolicCore {
                 n,
                 pattern: pattern.clone(),
-                kind,
                 perm,
                 col_ptr,
                 col_rows,
@@ -282,8 +203,8 @@ impl SymbolicLu {
     /// A cheap independent handle onto this analysis: the new `SymbolicLu`
     /// shares the (immutable) ordering, column map and — when already
     /// recorded — the pivot structure through `Arc`s, so the clone costs
-    /// reference-count bumps instead of re-running the ordering selection
-    /// and the first pivoting factorization.
+    /// reference-count bumps instead of re-running the ordering and the
+    /// first pivoting factorization.
     ///
     /// This is the cross-sample reuse path of the variation-aware sweeps:
     /// the nominal sample donates its symbolic phase and every perturbed
@@ -308,11 +229,6 @@ impl SymbolicLu {
     /// The fill-reducing ordering (`perm[new] = old`).
     pub fn ordering(&self) -> &[usize] {
         &self.core.perm
-    }
-
-    /// Which fill-reducing ordering the per-pattern selection kept.
-    pub fn ordering_kind(&self) -> OrderingKind {
-        self.core.kind
     }
 
     /// `true` once a factorization has recorded the pivot sequence, i.e.
@@ -341,9 +257,7 @@ impl SymbolicLu {
     /// pivot sequence and factor structure; later calls redo only the
     /// (supernode-blocked) numeric phase against that structure, restarting
     /// with fresh pivoting when a cached pivot becomes numerically unusable
-    /// for the new values. The numeric phase fans out across elimination
-    /// levels on up to [`vaem_parallel::thread_count`] worker threads; the
-    /// factors are bit-identical at any thread count.
+    /// for the new values.
     ///
     /// # Errors
     /// * [`SparseError::DimensionMismatch`] when `a` does not have exactly
@@ -351,21 +265,6 @@ impl SymbolicLu {
     /// * [`SparseError::ZeroPivot`] when the matrix is (numerically)
     ///   singular even under fresh pivoting.
     pub fn factor<T: Scalar>(&mut self, a: &CsrMatrix<T>) -> Result<SparseLu<T>, SparseError> {
-        self.factor_with_threads(a, vaem_parallel::thread_count())
-    }
-
-    /// [`SymbolicLu::factor`] with an explicit worker-thread count for the
-    /// parallel numeric phase (mainly for tests and callers that manage
-    /// their own thread budget; `threads <= 1` runs serially). The factor
-    /// bits do not depend on `threads`.
-    ///
-    /// # Errors
-    /// Same conditions as [`SymbolicLu::factor`].
-    pub fn factor_with_threads<T: Scalar>(
-        &mut self,
-        a: &CsrMatrix<T>,
-        threads: usize,
-    ) -> Result<SparseLu<T>, SparseError> {
         if !self.core.pattern.matches(a) {
             return Err(SparseError::DimensionMismatch {
                 detail: format!(
@@ -380,8 +279,8 @@ impl SymbolicLu {
                 ),
             });
         }
-        if let Some(structure) = self.structure.clone() {
-            match self.refactor_numeric(a, &structure, threads) {
+        if let Some(structure) = &self.structure {
+            match self.refactor_numeric(a, structure) {
                 Ok(lu) => return Ok(lu),
                 // Stale pivot sequence — fall through to a fresh pivoting
                 // factorization, which also refreshes (this handle's)
@@ -406,10 +305,7 @@ impl SymbolicLu {
     /// refactorization replays, so a replay with identical values
     /// reproduces identical factor bits.
     fn factor_full<T: Scalar>(&mut self, a: &CsrMatrix<T>) -> Result<SparseLu<T>, SparseError> {
-        // Own a handle so the pattern data stays readable while
-        // `self.structure` is replaced at the end.
-        let core = Arc::clone(&self.core);
-        let core = &*core;
+        let core = &*self.core;
         let n = core.n;
         let vals = a.values();
 
@@ -545,168 +441,46 @@ impl SymbolicLu {
             sn_start[j] = if joins { sn_start[j - 1] } else { j };
         }
 
-        // ---- level schedule: a column's dependencies are the pivots of
-        // its off-diagonal U entries, so level(j) = 1 + max level over
-        // them (0 for columns with no dependencies) ----
-        let mut level = vec![0usize; n];
-        let mut nlev = 0usize;
-        for j in 0..n {
-            let mut lv = 0usize;
-            for idx in u_colptr[j]..u_colptr[j + 1] - 1 {
-                lv = lv.max(level[u_rows[idx]] + 1);
-            }
-            level[j] = lv;
-            nlev = nlev.max(lv + 1);
+        // Pivot rows in original coordinates: permuted row r is row perm[r].
+        for r in &mut prow {
+            *r = core.perm[*r];
         }
-        let mut level_ptr = vec![0usize; nlev + 1];
-        for &lv in &level {
-            level_ptr[lv + 1] += 1;
-        }
-        for l in 0..nlev {
-            level_ptr[l + 1] += level_ptr[l];
-        }
-        let mut next = level_ptr.clone();
-        let mut level_cols = vec![0usize; n];
-        for j in 0..n {
-            level_cols[next[level[j]]] = j;
-            next[level[j]] += 1;
-        }
-
-        self.structure = Some(Arc::new(LuStructure {
-            prow: prow.clone(),
+        let structure = Arc::new(LuStructure {
+            prow,
+            perm: core.perm.clone(),
             pinv,
-            l_colptr: l_colptr.clone(),
-            l_rows: l_rows.clone(),
-            u_colptr: u_colptr.clone(),
-            u_rows: u_rows.clone(),
-            sn_start,
-            level_ptr,
-            level_cols,
-        }));
-
-        let prow_orig: Vec<usize> = prow.iter().map(|&r| core.perm[r]).collect();
-        Ok(SparseLu::from_parts(
-            n,
             l_colptr,
             l_rows,
-            l_vals,
             u_colptr,
             u_rows,
-            u_vals,
-            prow_orig,
-            Some(core.perm.clone()),
-        ))
+            sn_start,
+        });
+        self.structure = Some(Arc::clone(&structure));
+        Ok(SparseLu::from_values(structure, l_vals, u_vals))
     }
 
     /// Numeric-only refactorization against a cached pivot sequence and
-    /// factor structure: per column, scatter, eliminate supernode runs in
-    /// ascending pivot order through the fused panel kernels, divide — no
-    /// reachability DFS, no sorting, no pivot search. With `threads > 1`
-    /// the columns fan out level by level over worker threads; every
-    /// column is a pure function of the matrix values and its finished
-    /// dependencies, so the factor bits are independent of the thread
-    /// count and — for identical values — identical to the recording
-    /// factorization's.
+    /// factor structure: per column in ascending order, scatter, eliminate
+    /// supernode runs in ascending pivot order through the fused panel
+    /// kernels, divide — no reachability DFS, no sorting, no pivot search.
+    /// Every column is a pure function of the matrix values and its
+    /// finished dependencies, so for identical values the factor bits are
+    /// identical to the recording factorization's.
     fn refactor_numeric<T: Scalar>(
         &self,
         a: &CsrMatrix<T>,
-        st: &LuStructure,
-        threads: usize,
+        st: &Arc<LuStructure>,
     ) -> Result<SparseLu<T>, SparseError> {
         let core = &*self.core;
-        let n = core.n;
         let vals = a.values();
         let mut l_vals = vec![T::zero(); st.l_rows.len()];
         let mut u_vals = vec![T::zero(); st.u_rows.len()];
-
-        if threads <= 1 || n <= 1 {
-            // Serial path: ascending column order is a valid topological
-            // order of the dependency DAG.
-            let mut x = vec![T::zero(); n];
-            let (lv, uv) = (l_vals.as_mut_ptr(), u_vals.as_mut_ptr());
-            for j in 0..n {
-                // SAFETY: single-threaded — this loop is the only accessor
-                // of `l_vals`/`u_vals`, and dependencies of column j are
-                // columns < j, already finished.
-                unsafe { refactor_column(core, st, vals, &mut x, lv, uv, j) }
-                    .map_err(|index| SparseError::ZeroPivot { index })?;
-            }
-        } else {
-            // Level-parallel path. The first failing column (smallest
-            // index) is reported; any later garbage it propagates only
-            // reaches higher-indexed columns, so the minimum is the same
-            // failure the serial walk would hit first.
-            let failed = AtomicUsize::new(usize::MAX);
-            let lptr = ValsPtr(l_vals.as_mut_ptr());
-            let uptr = ValsPtr(u_vals.as_mut_ptr());
-            // Capture the wrappers by reference — disjoint field captures
-            // of the raw pointers would sidestep their Send/Sync impls.
-            let (lptr, uptr, failed_ref) = (&lptr, &uptr, &failed);
-            let mut serial_x = vec![T::zero(); n];
-            for lev in 0..st.level_ptr.len().saturating_sub(1) {
-                let cols = &st.level_cols[st.level_ptr[lev]..st.level_ptr[lev + 1]];
-                if cols.len() < PAR_MIN_LEVEL_COLS.max(threads) {
-                    for &j in cols {
-                        if failed_ref.load(AtomicOrdering::Relaxed) != usize::MAX {
-                            break;
-                        }
-                        // SAFETY: no workers are live (par_map_init joins
-                        // before returning), this thread has exclusive
-                        // access, and the column's dependencies finished in
-                        // earlier levels.
-                        if let Err(index) = unsafe {
-                            refactor_column(core, st, vals, &mut serial_x, lptr.0, uptr.0, j)
-                        } {
-                            failed_ref.fetch_min(index, AtomicOrdering::Relaxed);
-                        }
-                    }
-                } else {
-                    let chunk = (cols.len() / (threads * 4)).max(1);
-                    vaem_parallel::par_map_init(
-                        threads,
-                        chunk,
-                        cols.len(),
-                        || vec![T::zero(); n],
-                        |x, i| {
-                            if failed_ref.load(AtomicOrdering::Relaxed) != usize::MAX {
-                                return;
-                            }
-                            let j = cols[i];
-                            let (lp, up) = (lptr.0, uptr.0);
-                            // SAFETY: each column is claimed by exactly one
-                            // worker and writes only its own (disjoint)
-                            // `l_vals`/`u_vals` ranges; reads touch columns
-                            // of earlier levels, finished before this
-                            // level's fan-out began (the per-level join is
-                            // the happens-before edge).
-                            let outcome = unsafe { refactor_column(core, st, vals, x, lp, up, j) };
-                            if let Err(index) = outcome {
-                                failed_ref.fetch_min(index, AtomicOrdering::Relaxed);
-                            }
-                        },
-                    );
-                }
-            }
-            let first_failed = failed.load(AtomicOrdering::Relaxed);
-            if first_failed != usize::MAX {
-                return Err(SparseError::ZeroPivot {
-                    index: first_failed,
-                });
-            }
+        let mut x = vec![T::zero(); core.n];
+        for j in 0..core.n {
+            refactor_column(core, st, vals, &mut x, &mut l_vals, &mut u_vals, j)
+                .map_err(|index| SparseError::ZeroPivot { index })?;
         }
-
-        let prow_orig: Vec<usize> = st.prow.iter().map(|&r| core.perm[r]).collect();
-        Ok(SparseLu::from_parts(
-            n,
-            st.l_colptr.clone(),
-            st.l_rows.clone(),
-            l_vals,
-            st.u_colptr.clone(),
-            st.u_rows.clone(),
-            u_vals,
-            prow_orig,
-            Some(core.perm.clone()),
-        ))
+        Ok(SparseLu::from_values(Arc::clone(st), l_vals, u_vals))
     }
 }
 
@@ -716,37 +490,42 @@ impl SymbolicLu {
 /// panel kernels, their intra-run updates scalar — then check the pivot and
 /// divide `L`.
 ///
+/// Every dependency of column `j` is a column `m < j`, whose `L` values sit
+/// below `l_colptr[j]`: the finished columns are read through the shared
+/// half of one split, and column `j` is written through the other. No
+/// column reads another column's `U` values.
+///
 /// Per scatter target the fused tail pass subtracts the run members'
 /// products one at a time in member order, i.e. the exact floating-point
 /// sequence of a scalar member-by-member elimination, so the blocked column
 /// is bit-identical to the scalar one (see [`vaem_numeric::panel`]).
 ///
 /// Returns `Err(j)` when the cached pivot is numerically unusable.
-///
-/// # Safety
-/// `lv`/`uv` must point at the factor value buffers (lengths `st.l_rows
-/// .len()`/`st.u_rows.len()`). The caller must guarantee exclusive access
-/// to column `j`'s value ranges and that every dependency column (the
-/// off-diagonal pivots of `U[:, j]`) has been fully written and is not
-/// written concurrently.
-unsafe fn refactor_column<T: Scalar>(
+fn refactor_column<T: Scalar>(
     core: &SymbolicCore,
     st: &LuStructure,
     avals: &[T],
     x: &mut [T],
-    lv: *mut T,
-    uv: *mut T,
+    l_vals: &mut [T],
+    u_vals: &mut [T],
     j: usize,
 ) -> Result<(), usize> {
+    let (l_lo, l_hi) = (st.l_colptr[j], st.l_colptr[j + 1]);
+    let (u_lo, u_hi) = (st.u_colptr[j], st.u_colptr[j + 1]);
+    let (l_done, l_col) = l_vals.split_at_mut(l_lo);
+    let l_col = &mut l_col[..l_hi - l_lo];
+    let l_col_rows = &st.l_rows[l_lo..l_hi];
+    let u_col = &mut u_vals[u_lo..u_hi];
+
     // The column pattern is exactly U[:, j] ∪ L[:, j] (the diagonal is the
     // last U entry); zero it, then scatter Ap[:, j]. Elimination only ever
     // writes inside the pattern (the recorded reach is closed), so stale
     // scratch entries outside it are never read.
-    for idx in st.u_colptr[j]..st.u_colptr[j + 1] {
-        x[st.u_rows[idx]] = T::zero();
+    for &r in &st.u_rows[u_lo..u_hi] {
+        x[r] = T::zero();
     }
-    for idx in st.l_colptr[j]..st.l_colptr[j + 1] {
-        x[st.l_rows[idx]] = T::zero();
+    for &r in l_col_rows {
+        x[r] = T::zero();
     }
     for t in core.col_ptr[j]..core.col_ptr[j + 1] {
         x[st.pinv[core.col_rows[t]]] = avals[core.col_src[t]];
@@ -755,14 +534,13 @@ unsafe fn refactor_column<T: Scalar>(
     // Eliminate the off-diagonal U entries (sorted ascending = elimination
     // order), grouped into maximal runs of consecutive columns within one
     // supernode.
-    let off_lo = st.u_colptr[j];
-    let off_hi = st.u_colptr[j + 1] - 1; // diagonal sits at off_hi
-    let mut idx = off_lo;
+    let off_hi = u_hi - u_lo - 1; // the diagonal sits at off_hi
+    let mut idx = 0;
     while idx < off_hi {
-        let k0 = st.u_rows[idx];
+        let k0 = st.u_rows[u_lo + idx];
         let mut run = 1usize;
         while idx + run < off_hi
-            && st.u_rows[idx + run] == k0 + run
+            && st.u_rows[u_lo + idx + run] == k0 + run
             && st.sn_start[k0 + run] == st.sn_start[k0]
         {
             run += 1;
@@ -774,14 +552,10 @@ unsafe fn refactor_column<T: Scalar>(
         let tail_len = st.l_colptr[k1 + 1] - st.l_colptr[k1];
         for (off, m) in (k0..=k1).enumerate() {
             let xm = x[m];
-            // SAFETY: idx + off indexes U[:, j], owned by this call.
-            unsafe { *uv.add(idx + off) = xm };
-            let lo = st.l_colptr[m];
-            for li in lo..lo + (k1 - m) {
-                // SAFETY: dependency column m finished earlier (caller
-                // contract).
-                let lval = unsafe { *lv.add(li) };
-                x[st.l_rows[li]] -= xm * lval;
+            u_col[idx + off] = xm;
+            let intra = st.l_colptr[m]..st.l_colptr[m] + (k1 - m);
+            for (&r, &lval) in st.l_rows[intra.clone()].iter().zip(&l_done[intra]) {
+                x[r] -= xm * lval;
             }
         }
         if tail_len > 0 {
@@ -797,11 +571,7 @@ unsafe fn refactor_column<T: Scalar>(
                     // the member loop above.
                     coeffs[i] = x[m + i];
                     let lo = st.l_colptr[m + i + 1] - tail_len;
-                    // SAFETY: the dependency column's tail values are
-                    // finished and not written concurrently (caller
-                    // contract), so a shared slice over them is valid for
-                    // the duration of the kernel call.
-                    cols[i] = unsafe { std::slice::from_raw_parts(lv.add(lo), tail_len) };
+                    cols[i] = &l_done[lo..lo + tail_len];
                 }
                 panel::scatter_fused_sub(x, rows, &coeffs[..w], &cols[..w]);
                 m += w;
@@ -812,20 +582,16 @@ unsafe fn refactor_column<T: Scalar>(
 
     // Pivot check and division of L.
     let piv = x[j];
-    let (l_lo, l_hi) = (st.l_colptr[j], st.l_colptr[j + 1]);
     let mut colmax = piv.modulus();
-    for idx in l_lo..l_hi {
-        colmax = colmax.max(x[st.l_rows[idx]].modulus());
+    for &r in l_col_rows {
+        colmax = colmax.max(x[r].modulus());
     }
     if piv.modulus() == 0.0 || piv.modulus() < REFACTOR_PIVOT_TOL * colmax {
         return Err(j);
     }
-    // SAFETY: the diagonal U slot and L[:, j] belong to column j.
-    unsafe { *uv.add(st.u_colptr[j + 1] - 1) = piv };
-    for idx in l_lo..l_hi {
-        // SAFETY: every slot in L[:, j]'s value range belongs to column j,
-        // which this call owns exclusively.
-        unsafe { *lv.add(idx) = x[st.l_rows[idx]] / piv };
+    u_col[off_hi] = piv;
+    for (l, &r) in l_col.iter_mut().zip(l_col_rows) {
+        *l = x[r] / piv;
     }
     Ok(())
 }
@@ -846,6 +612,7 @@ fn sort_column<T: Scalar>(rows: &mut [usize], vals: &mut [T], lo: usize, hi: usi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::natural_order_solve;
     use vaem_numeric::{vecops, Complex64};
 
     fn laplacian_2d(nx: usize) -> CsrMatrix<f64> {
@@ -901,7 +668,7 @@ mod tests {
         assert!(sym.has_structure());
         let x = lu.solve(&b).unwrap();
         assert!(vecops::relative_diff(&x, &x_true, 1e-30) < 1e-10);
-        let reference = SparseLu::new(&a).unwrap().solve(&b).unwrap();
+        let reference = natural_order_solve(&a, &b).unwrap();
         assert!(vecops::relative_diff(&x, &reference, 1e-30) < 1e-10);
     }
 
@@ -917,7 +684,7 @@ mod tests {
             let x_true: Vec<f64> = (0..b_mat.rows()).map(|i| (i as f64 * 0.4).cos()).collect();
             let rhs = b_mat.matvec(&x_true);
             let x = lu.solve(&rhs).unwrap();
-            let fresh = SparseLu::new(&b_mat).unwrap().solve(&rhs).unwrap();
+            let fresh = natural_order_solve(&b_mat, &rhs).unwrap();
             assert!(
                 vecops::relative_diff(&x, &x_true, 1e-30) < 1e-10,
                 "shift {shift}"
@@ -931,9 +698,11 @@ mod tests {
 
     #[test]
     fn entries_cancelling_in_the_first_factorization_survive_refactor() {
-        // In the first matrix the update 1·(1/2)·2 cancels A[2,1] exactly, so
-        // a value-pruned structure would drop that factor position; the
-        // second matrix needs it. The refactorization must stay exact.
+        // AMD keeps this tridiagonal pattern in its natural order. In the
+        // first matrix the update (1/2)·2 cancels A[1,1] = 1 exactly, so
+        // L gets an exact zero where a value-pruned structure would drop
+        // the position; the second matrix needs it. The refactorization
+        // must stay exact.
         let t1 = [
             (0usize, 0usize, 2.0),
             (0, 1, 2.0),
@@ -945,7 +714,9 @@ mod tests {
         ];
         let a = CsrMatrix::from_triplets(3, 3, &t1);
         let mut sym = SymbolicLu::analyze(&a).unwrap();
-        sym.factor(&a).unwrap();
+        assert_eq!(sym.ordering(), [0, 1, 2]);
+        let first = sym.factor(&a).unwrap();
+        assert_eq!(first.l_values(), [0.5, 0.0]);
         let t2 = [
             (0usize, 0usize, 2.0),
             (0, 1, 2.0),
@@ -1059,7 +830,6 @@ mod tests {
         assert!(seeded.has_structure());
         assert_eq!(seeded.stale_fallback_count(), 0);
         assert!(seeded.matches(&a));
-        assert_eq!(seeded.ordering_kind(), donor.ordering_kind());
         // Same values through the seeded handle reproduce the donor's
         // factorization bit for bit (the refactorization replays the
         // recorded elimination order).
@@ -1096,82 +866,13 @@ mod tests {
     }
 
     #[test]
-    fn forced_orderings_both_factor_and_differ_in_fill() {
-        let a = laplacian_2d(12);
-        let pattern = SparsityPattern::of(&a);
-        let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.13).sin()).collect();
-        let rhs = a.matvec(&x_true);
-        let mut nnz = Vec::new();
-        for kind in [OrderingKind::Rcm, OrderingKind::Amd] {
-            let mut sym = SymbolicLu::new_with_ordering(&pattern, kind).unwrap();
-            assert_eq!(sym.ordering_kind(), kind);
-            let lu = sym.factor(&a).unwrap();
-            let x = lu.solve(&rhs).unwrap();
-            assert!(
-                vecops::relative_diff(&x, &x_true, 1e-30) < 1e-10,
-                "{kind:?}"
-            );
-            nnz.push(lu.factor_nnz());
-            // The refactorization reproduces the recorded factorization
-            // under either ordering.
-            let again = sym.factor(&a).unwrap();
-            assert_eq!(again.factor_nnz(), lu.factor_nnz());
-        }
-        assert_ne!(nnz[0], nnz[1], "orderings should produce different fill");
-    }
-
-    #[test]
-    fn auto_selection_matches_the_predicted_fill_winner() {
-        let a = laplacian_2d(10);
-        let pattern = SparsityPattern::of(&a);
-        let sym = SymbolicLu::new(&pattern).unwrap();
-        let rcm_fill = ordering::predicted_fill(&a, &ordering::rcm(&a));
-        let amd_fill = ordering::predicted_fill(&a, &ordering::amd(&a));
-        let expect = if amd_fill < rcm_fill {
-            OrderingKind::Amd
-        } else {
-            OrderingKind::Rcm
-        };
-        assert_eq!(sym.ordering_kind(), expect);
-    }
-
-    #[test]
-    fn parallel_refactorization_is_bitwise_identical_to_serial() {
-        // Large enough that several elimination levels clear the
-        // PAR_MIN_LEVEL_COLS fan-out threshold.
-        let a = laplacian_2d(16);
-        let mut sym = SymbolicLu::analyze(&a).unwrap();
-        sym.factor(&a).unwrap();
-        let b_mat = shifted_laplacian(16, 0.4);
-        let rhs: Vec<f64> = (0..b_mat.rows()).map(|i| (i as f64 * 0.9).cos()).collect();
-        let serial_bits: Vec<u64> = sym
-            .factor_with_threads(&b_mat, 1)
-            .unwrap()
-            .solve(&rhs)
-            .unwrap()
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-        for threads in [2, 4, 8] {
-            let bits: Vec<u64> = sym
-                .factor_with_threads(&b_mat, threads)
-                .unwrap()
-                .solve(&rhs)
-                .unwrap()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
-            assert_eq!(serial_bits, bits, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_refactorization_reports_stale_pivots() {
+    fn seeded_refactorization_of_singular_values_reports_the_zero_pivot() {
         let a = laplacian_2d(16);
         let mut donor = SymbolicLu::analyze(&a).unwrap();
         donor.factor(&a).unwrap();
         // Zero out the matrix: every cached pivot is numerically unusable,
-        // and the parallel path must fall back exactly like the serial one.
+        // so the seeded handle falls back once and the fresh pivoting
+        // factorization reports the singularity.
         let zeros: Vec<(usize, usize, f64)> = (0..a.rows())
             .flat_map(|r| {
                 a.row_entries(r)
@@ -1181,14 +882,12 @@ mod tests {
             .collect();
         let mut z = laplacian_2d(16);
         z.assemble_into(&zeros).unwrap();
-        for threads in [1, 4] {
-            let mut seeded = donor.seed_from();
-            assert!(matches!(
-                seeded.factor_with_threads(&z, threads),
-                Err(SparseError::ZeroPivot { .. })
-            ));
-            assert_eq!(seeded.stale_fallback_count(), 1, "threads = {threads}");
-        }
+        let mut seeded = donor.seed_from();
+        assert!(matches!(
+            seeded.factor(&z),
+            Err(SparseError::ZeroPivot { .. })
+        ));
+        assert_eq!(seeded.stale_fallback_count(), 1);
     }
 
     #[test]

@@ -166,7 +166,7 @@ fn warmed_up(
 fn prepared_solves(readings: &mut Readings) {
     for (kind, refactor_pin, solve_pin, guess_pin) in [
         (SolverKind::IluBiCgStab, 7, 4, 5),
-        (SolverKind::DirectLu, 17, 5, 6),
+        (SolverKind::DirectLu, 10, 5, 5),
     ] {
         for nx in [16, 32, 48] {
             let (mut prepared, b, x_warm) = warmed_up(kind, nx);
@@ -205,7 +205,7 @@ fn sweep_point(readings: &mut Readings) {
     let doping = DopingProfile::uniform_donor(structure.mesh.node_count(), &semis, 1.0e5);
     for (kind, solve_at_pin, set_frequency_pin, solve_terminal_pin) in [
         (SolverKind::IluBiCgStab, 18, 7, 10),
-        (SolverKind::DirectLu, 29, 17, 11),
+        (SolverKind::DirectLu, 21, 10, 11),
     ] {
         let options = SolverOptions {
             linear_solver: kind,

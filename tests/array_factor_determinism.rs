@@ -1,13 +1,16 @@
-//! Tier-1 guarantee of the tree-parallel numeric factorization: on the
-//! genuine 3×3 TSV-array mesh pattern — the workload the elimination-level
-//! schedule was built for — `SymbolicLu::factor_with_threads` must produce
-//! bit-for-bit identical triangular solves at 1, 2 and 4 threads. The
-//! level schedule only runs columns whose dependencies have completed, and
-//! every column applies its updates in the stored pivot order, so which
-//! worker owns a column never changes a single floating-point operation.
-//! This pins the guarantee the CI digest matrix checks end to end through
-//! `tsv_array --digest` at the solver level, where a violation is
-//! attributable to one factorization instead of a whole pipeline.
+//! Tier-1 guarantee of the numeric refactorization on the genuine 3×3
+//! TSV-array mesh pattern: replayed against the recorded pivot sequence and
+//! factor structure, the same values must reproduce the recording
+//! factorization's triangular solve bit for bit — through a second `factor`
+//! call on the recording handle, and through a `SymbolicLu::seed_from`
+//! handle, which is how every adaptive-sweep sample receives the nominal's
+//! analysis. The refactorization eliminates in the recorded ascending pivot
+//! order, and its supernode runs go through fused panel kernels whose
+//! per-target operation sequence equals the scalar elimination's, so a
+//! replay changes no floating-point operation. This pins at the solver
+//! level what the CI digest matrix checks end to end through
+//! `tsv_array --digest`, where a violation is attributable to one
+//! factorization instead of a whole pipeline.
 
 use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
 use vaem_mesh::Material;
@@ -52,36 +55,34 @@ fn array_system() -> vaem_sparse::CsrMatrix<Complex64> {
 }
 
 #[test]
-fn array_factorization_is_bit_identical_across_thread_counts() {
+fn array_refactorization_reproduces_the_recording_factorization_bits() {
     let a = array_system();
     let b: Vec<Complex64> = (0..a.rows())
         .map(|i| Complex64::new(1.0 + (i % 7) as f64, 0.25 * (i % 3) as f64))
         .collect();
-
-    let mut symbolic = SymbolicLu::new(&SparsityPattern::of(&a)).expect("symbolic analysis");
-    let serial = symbolic
-        .factor_with_threads(&a, 1)
-        .expect("serial factorization");
-    let x1 = serial.solve(&b).expect("serial solve");
     let bits = |x: &[Complex64]| -> Vec<(u64, u64)> {
         x.iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect()
     };
-    let reference = bits(&x1);
 
-    for threads in [2usize, 4] {
-        // A fresh handle seeded from the serial one replays the recorded
-        // ordering choice and pivot structure, exactly like a sample
-        // factorization receiving the nominal donor.
-        let mut seeded = symbolic.seed_from();
-        let parallel = seeded
-            .factor_with_threads(&a, threads)
-            .expect("parallel factorization");
-        assert_eq!(serial.factor_nnz(), parallel.factor_nnz());
-        let xp = parallel.solve(&b).expect("parallel solve");
+    let mut symbolic = SymbolicLu::new(&SparsityPattern::of(&a)).expect("symbolic analysis");
+    let recording = symbolic.factor(&a).expect("recording factorization");
+    let reference = bits(&recording.solve(&b).expect("recording solve"));
+
+    let mut seeded = symbolic.seed_from();
+    assert!(seeded.has_structure());
+    for (how, replay) in [
+        ("second factor", symbolic.factor(&a)),
+        ("seeded handle", seeded.factor(&a)),
+    ] {
+        let replay = replay.expect(how);
+        assert_eq!(recording.factor_nnz(), replay.factor_nnz(), "{how}");
         assert_eq!(
             reference,
-            bits(&xp),
-            "triangular solve changed between 1 and {threads} threads"
+            bits(&replay.solve(&b).expect(how)),
+            "the {how} changed the triangular solve"
         );
     }
+    // Neither replay fell back to a fresh pivoting factorization.
+    assert_eq!(symbolic.stale_fallback_count(), 0);
+    assert_eq!(seeded.stale_fallback_count(), 0);
 }
