@@ -8,8 +8,10 @@
 //!    factorization ([`vaem_fvm::postprocess::capacitance_matrix`]).
 //! 2. **Aggressor/victim sweep** — one via driven with 1 V over a log
 //!    frequency grid; the induced current fraction at every other via
-//!    ([`vaem_fvm::postprocess::coupling_ratio_spectrum`]) traces the
-//!    S-curve from the capacitive plateau into substrate conduction.
+//!    ([`vaem_fvm::postprocess::coupling_ratios`]) traces the S-curve from
+//!    the capacitive plateau into substrate conduction. It runs beside
+//!    stage 1's columns, on the calling thread, while the other workers
+//!    solve columns.
 //! 3. **Variation-aware crosstalk statistics** — per-via radius/position
 //!    parameters ([`crate::config::ViaArrayVariationConfig`]) propagated
 //!    through the SSCM/MC machinery, with per-group Sobol main effects
@@ -21,8 +23,9 @@ use crate::config::{
 };
 use crate::report::result_digest;
 use std::fmt::Write as _;
-use vaem_fvm::{postprocess, CoupledSolver, SolverOptions};
+use vaem_fvm::{postprocess, CoupledSolver, FvmError, SolverOptions};
 use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
+use vaem_numeric::Complex64;
 use vaem_physics::DopingProfile;
 
 /// The TSV-array experiment: geometry, aggressor choice, variation sigmas
@@ -159,6 +162,16 @@ impl TsvArrayExperiment {
     /// Solves the nominal array once and extracts the coupling matrices and
     /// the aggressor/victim sweep.
     ///
+    /// The sweep is a warm-started chain of solves that cannot be split, so
+    /// it runs as the [side job](vaem_parallel::with_side_job) of the
+    /// capacitance columns' fan-out: on the calling thread while the other
+    /// workers take columns, after the matrix's AC operator has published
+    /// its donor factorization on the shared topology — exactly what a
+    /// serial run seeds the sweep with, so the report is bit-identical at
+    /// any `VAEM_THREADS`. Each sweep point keeps only its terminal
+    /// currents. Errors resolve in the serial order: the matrix's, the
+    /// aggressor check, the sweep's, then the coupling ratios'.
+    ///
     /// # Errors
     /// Propagates deterministic-solver failures.
     pub fn nominal_report(&self) -> Result<TsvArrayReport, AnalysisError> {
@@ -168,9 +181,24 @@ impl TsvArrayExperiment {
         let solver = CoupledSolver::new(&structure, &doping, SolverOptions::default())?;
         let dc = solver.solve_dc()?;
 
+        let aggressor = self.aggressor_name();
+        let grid = self.sweep_grid();
+        let sweep = || -> Result<Vec<(f64, Vec<Complex64>)>, FvmError> {
+            let mut operator = solver.prepare_ac_sweep(&dc)?;
+            grid.iter()
+                .map(|&frequency| {
+                    let ac = operator.solve_at(frequency, &aggressor)?;
+                    Ok((ac.frequency(), postprocess::terminal_currents(&solver, &ac)))
+                })
+                .collect()
+        };
+        let (matrix, sweep) = vaem_parallel::with_side_job(sweep, || {
+            postprocess::capacitance_matrix(&solver, &dc, self.frequency)
+        });
+
         // K×K coupling-capacitance matrix (fF), row = driven terminal.
         let names = self.geometry.via_names();
-        let matrix = postprocess::capacitance_matrix(&solver, &dc, self.frequency)?;
+        let matrix = matrix?;
         let coupling: Vec<Vec<f64>> = names
             .iter()
             .map(|driven| {
@@ -180,20 +208,16 @@ impl TsvArrayExperiment {
             .collect();
 
         // Aggressor/victim current-ratio sweep.
-        let aggressor = self.aggressor_name();
         let aggressor_index = names.iter().position(|n| n == &aggressor).ok_or_else(|| {
             AnalysisError::Configuration(format!("aggressor '{aggressor}' is not a via terminal"))
         })?;
-        let grid = self.sweep_grid();
-        let mut operator = solver.prepare_ac_sweep(&dc)?;
-        let sweep = operator.sweep_terminal(&grid, &aggressor)?;
+        let sweep = sweep?;
         let victims: Vec<VictimSpectrum> = names
             .iter()
             .enumerate()
             .filter(|(_, n)| **n != aggressor)
             .map(|(victim_index, victim)| {
-                let spectrum =
-                    postprocess::coupling_ratio_spectrum(&solver, &sweep, &aggressor, victim)?;
+                let spectrum = postprocess::coupling_ratios(&solver, &sweep, &aggressor, victim)?;
                 Ok(VictimSpectrum {
                     victim: victim.clone(),
                     grid_distance: self.geometry.grid_distance(aggressor_index, victim_index),

@@ -270,7 +270,8 @@ pub fn impedance_spectrum(
 /// aggressor's drive current induced at the grounded victim terminal. This is
 /// the S-curve-style crosstalk-vs-frequency quantity the TSV-array coupling
 /// studies sweep for: flat and capacitive at low frequency, rising once
-/// substrate conduction takes over.
+/// substrate conduction takes over. Each solution is reduced to its
+/// frequency and [`terminal_currents`] and handed to [`coupling_ratios`].
 ///
 /// # Errors
 /// Returns [`FvmError::Configuration`] for an unknown terminal or for a sweep
@@ -283,6 +284,27 @@ pub fn coupling_ratio_spectrum(
     aggressor: &str,
     victim: &str,
 ) -> Result<Vec<(f64, f64)>, FvmError> {
+    let points: Vec<(f64, Vec<Complex64>)> = sweep
+        .iter()
+        .map(|ac| (ac.frequency(), terminal_currents(solver, ac)))
+        .collect();
+    coupling_ratios(solver, &points, aggressor, victim)
+}
+
+/// [`coupling_ratio_spectrum`] over sweep points already reduced to their
+/// frequency (Hz) and every terminal's current (A, indexed like the
+/// solver's terminals, as [`terminal_currents`] returns them). A sweep that
+/// keeps only these holds K currents per point instead of a node-space
+/// solution, and sums each point's currents once for all its victims.
+///
+/// # Errors
+/// As [`coupling_ratio_spectrum`].
+pub fn coupling_ratios(
+    solver: &CoupledSolver<'_>,
+    points: &[(f64, Vec<Complex64>)],
+    aggressor: &str,
+    victim: &str,
+) -> Result<Vec<(f64, f64)>, FvmError> {
     let index_of = |terminal: &str| {
         solver
             .terminals()
@@ -292,18 +314,16 @@ pub fn coupling_ratio_spectrum(
             })
     };
     let (a, v) = (index_of(aggressor)?, index_of(victim)?);
-    sweep
+    points
         .iter()
-        .map(|ac| {
-            let currents = terminal_currents(solver, ac);
+        .map(|(frequency, currents)| {
             let (i_aggr, i_victim) = (currents[a], currents[v]);
             for (name, i) in [(aggressor, i_aggr), (victim, i_victim)] {
                 if !i.re.is_finite() || !i.im.is_finite() {
                     return Err(FvmError::NonFinite {
                         detail: format!(
                             "terminal '{name}' sums to a non-finite current at \
-                             {} Hz: no coupling ratio is defined",
-                            ac.frequency()
+                             {frequency} Hz: no coupling ratio is defined"
                         ),
                     });
                 }
@@ -311,13 +331,12 @@ pub fn coupling_ratio_spectrum(
             if i_aggr.abs() == 0.0 {
                 return Err(FvmError::Configuration {
                     detail: format!(
-                        "aggressor '{aggressor}' carries no current at {} Hz \
-                         (open circuit / DC point): no coupling ratio is defined",
-                        ac.frequency()
+                        "aggressor '{aggressor}' carries no current at {frequency} Hz \
+                         (open circuit / DC point): no coupling ratio is defined"
                     ),
                 });
             }
-            Ok((ac.frequency(), i_victim.abs() / i_aggr.abs()))
+            Ok((*frequency, i_victim.abs() / i_aggr.abs()))
         })
         .collect()
 }

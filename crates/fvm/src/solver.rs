@@ -6,12 +6,12 @@ use crate::{AcSolution, DcSolution, FvmError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use vaem_mesh::{Axis, LinkId, Material, NodeId, Structure};
+use vaem_mesh::{Axis, CartesianMesh, LinkId, Material, NodeId, Structure};
 use vaem_numeric::Complex64;
 use vaem_physics::{constants, DopingProfile, MaterialTable, SiliconParams};
 use vaem_sparse::{
-    IluSeed, LinearSolver, PreparedSolver, SolveReport, SolverKind, SparsityPattern, SymbolicLu,
-    TripletMatrix,
+    CsrMatrix, IluSeed, LinearSolver, PreparedSolver, SolveReport, SolverKind, SparsityPattern,
+    SymbolicLu, TripletMatrix,
 };
 
 /// Configuration of the coupled solver.
@@ -95,14 +95,14 @@ impl DonorSlot {
 
 /// The perturbation-invariant part of a solver setup: terminal labelling,
 /// node–link adjacency, contact (Dirichlet) assignment and the cached
-/// sparsity patterns of the DC Jacobian and the AC operator.
+/// assembly maps of the DC Jacobian and the AC operator.
 ///
 /// Surface-roughness perturbations move node positions but never change the
 /// mesh topology, so one `SolverTopology` — wrapped in an [`Arc`] — can be
 /// built from the nominal structure and shared read-only across every
 /// perturbed-sample solver of a sweep (and across the worker threads of
-/// `vaem_parallel`), instead of being rebuilt per sample. The sparsity
-/// patterns are populated lazily by the first solve that assembles them.
+/// `vaem_parallel`), instead of being rebuilt per sample. The assembly maps
+/// are built lazily by the first solve that assembles each stage.
 #[derive(Debug)]
 pub struct SolverTopology {
     terminals: TerminalMap,
@@ -112,11 +112,13 @@ pub struct SolverTopology {
     contact_of: Vec<Option<usize>>,
     node_count: usize,
     link_count: usize,
-    /// Structural pattern of the DC Newton Jacobian (unknown ordering is
-    /// topology-only, so it is shared across samples and iterations).
-    dc_pattern: OnceLock<SparsityPattern>,
-    /// Structural pattern of the AC (electro-quasi-static) operator.
-    ac_pattern: OnceLock<SparsityPattern>,
+    /// Assembly map of the DC Newton Jacobian (its Dirichlet nodes follow
+    /// the materials and contacts, which perturbations leave alone, so it
+    /// is shared across samples and iterations).
+    dc_map: OnceLock<Arc<AssemblyMap>>,
+    /// Assembly map of the AC (electro-quasi-static) operator, shared by
+    /// every AC operator of every sample.
+    ac_map: OnceLock<Arc<AssemblyMap>>,
     /// Donor symbolic LU of the DC Jacobian: published by the first DC
     /// solve that prepares a direct factorization — the nominal sample,
     /// when the analysis layer solves it before fanning the samples out —
@@ -194,8 +196,8 @@ impl SolverTopology {
             contact_of,
             node_count: mesh.node_count(),
             link_count: mesh.link_count(),
-            dc_pattern: OnceLock::new(),
-            ac_pattern: OnceLock::new(),
+            dc_map: OnceLock::new(),
+            ac_map: OnceLock::new(),
             dc_donor: DonorSlot::default(),
             ac_donor: DonorSlot::default(),
             dc_ilu_donor: OnceLock::new(),
@@ -264,6 +266,150 @@ impl SolverTopology {
     /// Number of mesh links the topology was built for.
     pub fn link_count(&self) -> usize {
         self.link_count
+    }
+}
+
+/// Marks an [`AssemblyMap`] entry or node without a matrix row or column:
+/// a link into a Dirichlet neighbour, or a Dirichlet node.
+const DIRICHLET: u32 = u32::MAX;
+
+/// How one stage's operator is assembled into its fixed CSR pattern: the
+/// unknown numbering, and per unknown row its incident links — in the
+/// topology's node–link order — each with the CSR value slot of the
+/// neighbour's column, plus the slot of the diagonal.
+///
+/// Assembly zeroes the values, adds each link's coupling into its slot in
+/// that order and then the diagonal into its own: the `+=` sequence of a
+/// triplet re-assembly in push order, so every value keeps its bits. One
+/// map per stage is cached on the [`SolverTopology`] and shared by `Arc`
+/// across samples and across the operators of one DC point. Indices are
+/// `u32`, which bounds a mesh to 4·10⁹ nodes and links.
+#[derive(Debug)]
+struct AssemblyMap {
+    /// The operator's CSR structure.
+    pattern: SparsityPattern,
+    /// Mesh node of each unknown row.
+    unknowns: Vec<u32>,
+    /// Unknown row of each mesh node, [`DIRICHLET`] for a Dirichlet node.
+    row_of: Vec<u32>,
+    /// Row `r`'s entries are `starts[r]..starts[r + 1]` of `links` and
+    /// `slots`.
+    starts: Vec<u32>,
+    /// Incident link of each entry.
+    links: Vec<u32>,
+    /// CSR value slot of each entry's neighbour column, [`DIRICHLET`] when
+    /// the neighbour is a Dirichlet node.
+    slots: Vec<u32>,
+    /// CSR value slot of each row's diagonal.
+    diagonal: Vec<u32>,
+    /// The entries into contact neighbours as `(row, link, contact)`, the
+    /// couplings an AC right-hand side reads. Empty in the DC map.
+    boundary: Vec<(u32, u32, u32)>,
+}
+
+impl AssemblyMap {
+    /// Numbers the nodes that `is_unknown` accepts in node order and maps
+    /// their links. With `contact_of`, also lists every coupling into a
+    /// contact neighbour; every Dirichlet neighbour must then be a contact.
+    fn build(
+        mesh: &CartesianMesh,
+        node_links: &[Vec<LinkId>],
+        is_unknown: impl Fn(usize) -> bool,
+        contact_of: Option<&[Option<usize>]>,
+    ) -> Self {
+        let mut row_of = vec![DIRICHLET; mesh.node_count()];
+        let mut unknowns = Vec::new();
+        for (node, row) in row_of.iter_mut().enumerate() {
+            if is_unknown(node) {
+                *row = unknowns.len() as u32;
+                unknowns.push(node as u32);
+            }
+        }
+        let n = unknowns.len();
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut links = Vec::new();
+        // Each entry's neighbour column for now; its value slot once the
+        // pattern exists.
+        let mut slots = Vec::new();
+        let mut boundary = Vec::new();
+        starts.push(0);
+        for (row, &node) in unknowns.iter().enumerate() {
+            for &lid in &node_links[node as usize] {
+                let other = other_end(mesh, lid, node as usize);
+                let column = row_of[other];
+                if let (DIRICHLET, Some(contact_of)) = (column, contact_of) {
+                    let contact = contact_of[other].expect("non-unknown node is a contact");
+                    boundary.push((row as u32, lid.index() as u32, contact as u32));
+                }
+                links.push(lid.index() as u32);
+                slots.push(column);
+            }
+            starts.push(links.len() as u32);
+        }
+        let mut triplets = TripletMatrix::with_capacity(n, n, links.len() + n);
+        for row in 0..n {
+            for &column in &slots[starts[row] as usize..starts[row + 1] as usize] {
+                if column != DIRICHLET {
+                    triplets.push(row, column as usize, 0.0);
+                }
+            }
+            triplets.push(row, row, 0.0);
+        }
+        let pattern = SparsityPattern::of(&triplets.to_csr());
+        // Every column above is in its row's pattern, so the first column
+        // not below it is its own.
+        let slot_of = |row: usize, column: usize| {
+            let lo = pattern.row_ptr()[row];
+            let columns = &pattern.col_idx()[lo..pattern.row_ptr()[row + 1]];
+            (lo + columns.partition_point(|&c| c < column)) as u32
+        };
+        for row in 0..n {
+            for slot in &mut slots[starts[row] as usize..starts[row + 1] as usize] {
+                if *slot != DIRICHLET {
+                    *slot = slot_of(row, *slot as usize);
+                }
+            }
+        }
+        let diagonal = (0..n).map(|row| slot_of(row, row)).collect();
+        Self {
+            pattern,
+            unknowns,
+            row_of,
+            starts,
+            links,
+            slots,
+            diagonal,
+            boundary,
+        }
+    }
+
+    /// Number of unknown rows.
+    fn rows(&self) -> usize {
+        self.unknowns.len()
+    }
+
+    /// The entry range of unknown row `row`.
+    fn entries(&self, row: usize) -> std::ops::Range<usize> {
+        self.starts[row] as usize..self.starts[row + 1] as usize
+    }
+
+    /// Adds `value` into the matrix slot of entry `entry`, unless the
+    /// entry couples into a Dirichlet neighbour.
+    fn add<T: vaem_numeric::Scalar>(&self, values: &mut [T], entry: usize, value: T) {
+        let slot = self.slots[entry];
+        if slot != DIRICHLET {
+            values[slot as usize] += value;
+        }
+    }
+}
+
+/// The endpoint of link `lid` that is not `node`.
+fn other_end(mesh: &CartesianMesh, lid: LinkId, node: usize) -> usize {
+    let link = mesh.link(lid);
+    if link.from.index() == node {
+        link.to.index()
+    } else {
+        link.from.index()
     }
 }
 
@@ -406,6 +552,31 @@ impl<'a> CoupledSolver<'a> {
         self.structure.materials.material(node)
     }
 
+    /// The DC assembly map for a solve with these Dirichlet nodes: the one
+    /// cached on the topology (built by its first DC solve) when its
+    /// Dirichlet nodes are these, a private one otherwise.
+    fn dc_map(&self, dirichlet: &[Option<f64>]) -> Arc<AssemblyMap> {
+        let build = || {
+            Arc::new(AssemblyMap::build(
+                &self.structure.mesh,
+                &self.topology.node_links,
+                |node| dirichlet[node].is_none(),
+                None,
+            ))
+        };
+        let cached = self.topology.dc_map.get_or_init(build);
+        let same_nodes = cached
+            .row_of
+            .iter()
+            .zip(dirichlet)
+            .all(|(&row, value)| (row == DIRICHLET) == value.is_some());
+        if same_nodes {
+            Arc::clone(cached)
+        } else {
+            build()
+        }
+    }
+
     /// Solves the equilibrium (all terminals grounded) operating point.
     ///
     /// # Errors
@@ -454,15 +625,9 @@ impl<'a> CoupledSolver<'a> {
             }
         }
 
-        // Unknown numbering.
-        let mut unknown_index: Vec<Option<usize>> = vec![None; n_nodes];
-        let mut unknowns: Vec<NodeId> = Vec::new();
-        for node in mesh.node_ids() {
-            if dirichlet[node.index()].is_none() {
-                unknown_index[node.index()] = Some(unknowns.len());
-                unknowns.push(node);
-            }
-        }
+        // Unknown numbering and assembly map, shared through the topology
+        // by every sample with these Dirichlet nodes.
+        let map = self.dc_map(&dirichlet);
 
         // Initial guess: built-in potential in the semiconductor, Dirichlet
         // elsewhere prescribed, zero in the dielectric.
@@ -482,50 +647,35 @@ impl<'a> CoupledSolver<'a> {
         let clamp_exp = |x: f64| x.clamp(-60.0, 60.0);
         let linear = LinearSolver::new(self.options.linear_solver);
 
-        // The Jacobian stencil is geometry-only: per unknown, the link
-        // coefficient, the neighbour node and (when the neighbour is itself
-        // an unknown) its column. Precomputing it keeps the per-iteration
-        // assembly to pure arithmetic, and the structural pattern fixed.
-        let stencils: Vec<Vec<(f64, usize, Option<usize>)>> = unknowns
-            .iter()
-            .map(|&node| {
-                let mat_i = self.material(node);
-                self.topology.node_links[node.index()]
-                    .iter()
-                    .map(|&lid| {
-                        let link = mesh.link(lid);
-                        let other = if link.from == node {
-                            link.to
-                        } else {
-                            link.from
-                        };
-                        let eps =
-                            link_permittivity(mat_i, self.material(other), &self.options.materials);
-                        let c = eps * self.link_factor[lid.index()];
-                        (c, other.index(), unknown_index[other.index()])
-                    })
-                    .collect()
-            })
-            .collect();
+        // The link coefficient of each map entry is geometry-only, so it is
+        // computed once per solve and every Newton iteration's assembly is
+        // pure arithmetic into the fixed pattern.
+        let mut coefficients = vec![0.0; map.links.len()];
+        for (row, &node) in map.unknowns.iter().enumerate() {
+            let mat_i = self.material(NodeId(node as usize));
+            for entry in map.entries(row) {
+                let lid = LinkId(map.links[entry] as usize);
+                let other = NodeId(other_end(mesh, lid, node as usize));
+                let eps = link_permittivity(mat_i, self.material(other), &self.options.materials);
+                coefficients[entry] = eps * self.link_factor[lid.index()];
+            }
+        }
         // Charge term data per unknown: (q·volume, net doping) for
         // semiconductor nodes, None elsewhere.
-        let charge: Vec<Option<(f64, f64)>> = unknowns
+        let charge: Vec<Option<(f64, f64)>> = map
+            .unknowns
             .iter()
             .map(|&node| {
+                let node = NodeId(node as usize);
                 self.material(node)
                     .is_semiconductor()
                     .then(|| (q * mesh.node_volume(node), self.doping.net(node)))
             })
             .collect();
 
-        let n_unknown = unknowns.len();
+        let n_unknown = map.rows();
         let mut rhs = vec![0.0_f64; n_unknown];
-        let mut jac = TripletMatrix::with_capacity(n_unknown, n_unknown, n_unknown * 7);
-        // CSR carrying the fixed Jacobian pattern; seeded from the shared
-        // topology cache when a previous sample already assembled it, and
-        // published there otherwise. Later iterations (and samples) only
-        // re-assemble the values.
-        let mut jac_csr: Option<vaem_sparse::CsrMatrix<f64>> = None;
+        let mut jacobian: CsrMatrix<f64> = map.pattern.zeros();
         // Linear solver prepared on the first iteration; every later Newton
         // step refactorizes numerically against the cached symbolic phase.
         let mut prepared: Option<PreparedSolver<f64>> = None;
@@ -534,18 +684,19 @@ impl<'a> CoupledSolver<'a> {
         let mut update_norm = f64::INFINITY;
         while iterations < self.options.newton_max_iterations {
             iterations += 1;
-            jac.clear();
-
-            for (ui, &node) in unknowns.iter().enumerate() {
-                let vi = potential[node.index()];
+            let values = jacobian.values_mut();
+            values.fill(0.0);
+            for (ui, &node) in map.unknowns.iter().enumerate() {
+                let node = node as usize;
+                let vi = potential[node];
                 let mut diag = 0.0;
                 let mut residual = 0.0;
-                for &(c, other, uj) in &stencils[ui] {
+                for entry in map.entries(ui) {
+                    let c = coefficients[entry];
+                    let other = other_end(mesh, LinkId(map.links[entry] as usize), node);
                     residual += c * (potential[other] - vi);
                     diag -= c;
-                    if let Some(uj) = uj {
-                        jac.push(ui, uj, c);
-                    }
+                    map.add(values, entry, c);
                 }
                 if let Some((qvol, net)) = charge[ui] {
                     let n = si.intrinsic_density * clamp_exp(vi / vt).exp();
@@ -553,35 +704,14 @@ impl<'a> CoupledSolver<'a> {
                     residual += qvol * (p - n + net);
                     diag -= qvol * (n + p) / vt;
                 }
-                jac.push(ui, ui, diag);
+                values[map.diagonal[ui] as usize] += diag;
                 // Solve J·δ = -F.
                 rhs[ui] = -residual;
             }
 
-            let matrix = match jac_csr.as_mut() {
-                Some(cached) => {
-                    jac.assemble_into(cached)?;
-                    &*cached
-                }
-                None => {
-                    let built = match self.topology.dc_pattern.get() {
-                        Some(p) if p.rows() == n_unknown && p.cols() == n_unknown => {
-                            let mut m = p.zeros();
-                            jac.assemble_into(&mut m)?;
-                            m
-                        }
-                        _ => {
-                            let m = jac.to_csr();
-                            let _ = self.topology.dc_pattern.set(SparsityPattern::of(&m));
-                            m
-                        }
-                    };
-                    &*jac_csr.insert(built)
-                }
-            };
             let (mut delta, _report) = match prepared.as_mut() {
                 Some(p) => {
-                    p.refactor(matrix)?;
+                    p.refactor(&jacobian)?;
                     p.solve(&rhs)?
                 }
                 None => {
@@ -600,7 +730,7 @@ impl<'a> CoupledSolver<'a> {
                     } else {
                         (None, None)
                     };
-                    let p = prepared.insert(linear.prepare_seeded_with(matrix, seed, ilu_seed)?);
+                    let p = prepared.insert(linear.prepare_seeded_with(&jacobian, seed, ilu_seed)?);
                     p.solve(&rhs)?
                 }
             };
@@ -626,8 +756,8 @@ impl<'a> CoupledSolver<'a> {
                     *d *= scale;
                 }
             }
-            for (ui, &node) in unknowns.iter().enumerate() {
-                potential[node.index()] += delta[ui];
+            for (&node, d) in map.unknowns.iter().zip(&delta) {
+                potential[node as usize] += d;
             }
             update_norm = delta.iter().fold(0.0_f64, |m, d| m.max(d.abs()));
             if !update_norm.is_finite() {
@@ -737,14 +867,16 @@ impl<'a> CoupledSolver<'a> {
     }
 
     /// Prepares the frequency-agnostic part of the AC operator for one DC
-    /// operating point: the Dirichlet structure, the assembly stencils, the
-    /// semiconductor small-signal conductivities and the workspaces.
+    /// operating point: the semiconductor small-signal conductivities, the
+    /// workspaces and the operator's CSR matrix on the pattern of the
+    /// topology's AC assembly map (built by the first AC operator of the
+    /// topology and shared by every later one).
     ///
-    /// The returned [`AcSweepOperator`] walks a frequency grid by rebuilding
-    /// only the frequency-dependent values into the cached CSR pattern
-    /// (`assemble_into`) and refactorizing numerically against the cached
-    /// symbolic phase; [`AcSweepOperator::sweep_terminal`] additionally
-    /// warm-starts every point from the previous solution.
+    /// The returned [`AcSweepOperator`] walks a frequency grid by writing
+    /// only the frequency-dependent values into their CSR slots through
+    /// the map and refactorizing numerically against the cached symbolic
+    /// phase; [`AcSweepOperator::sweep_terminal`] additionally warm-starts
+    /// every point from the previous solution.
     ///
     /// # Errors
     /// Never fails today; returns `Result` for forward compatibility with
@@ -771,53 +903,24 @@ impl<'a> CoupledSolver<'a> {
             .collect();
 
         // Dirichlet structure: every contact node, whatever its excitation.
-        let mut unknown_index: Vec<Option<usize>> = vec![None; n_nodes];
-        let mut unknowns: Vec<NodeId> = Vec::new();
-        for node in mesh.node_ids() {
-            if self.topology.contact_of[node.index()].is_none() {
-                unknown_index[node.index()] = Some(unknowns.len());
-                unknowns.push(node);
-            }
-        }
-
-        // Assembly stencil per unknown row: the incident links and, when the
-        // neighbour is itself an unknown, its column. Couplings into
-        // Dirichlet neighbours move to the right-hand side per excitation.
-        let n_unknown = unknowns.len();
-        let mut stencils: Vec<Vec<(LinkId, Option<usize>)>> = Vec::with_capacity(n_unknown);
-        let mut boundary: Vec<(usize, LinkId, usize)> = Vec::new();
-        for (ui, &node) in unknowns.iter().enumerate() {
-            let links = &self.topology.node_links[node.index()];
-            let mut row = Vec::with_capacity(links.len());
-            for &lid in links {
-                let link = mesh.link(lid);
-                let other = if link.from == node {
-                    link.to
-                } else {
-                    link.from
-                };
-                let uj = unknown_index[other.index()];
-                if uj.is_none() {
-                    let contact = self.topology.contact_of[other.index()]
-                        .expect("non-unknown node is a contact");
-                    boundary.push((ui, lid, contact));
-                }
-                row.push((lid, uj));
-            }
-            stencils.push(row);
-        }
+        // Couplings into them move to the right-hand side per excitation.
+        let topology = &self.topology;
+        let map = Arc::clone(topology.ac_map.get_or_init(|| {
+            Arc::new(AssemblyMap::build(
+                mesh,
+                &topology.node_links,
+                |node| topology.contact_of[node].is_none(),
+                Some(&topology.contact_of),
+            ))
+        }));
 
         Ok(AcSweepOperator {
             solver: self,
             sigma_semi,
-            unknowns,
-            unknown_index,
-            stencils,
-            boundary,
+            matrix: map.pattern.zeros(),
+            map,
             node_y: vec![Complex64::ZERO; n_nodes],
             link_admittance: vec![Complex64::ZERO; mesh.link_count()],
-            triplets: TripletMatrix::with_capacity(n_unknown, n_unknown, n_unknown * 7),
-            matrix: None,
             prepared: None,
             reported_stale: 0,
             warm: None,
@@ -843,23 +946,15 @@ pub struct AcSweepOperator<'s, 'a> {
     solver: &'s CoupledSolver<'a>,
     /// Semiconductor small-signal conductivity per node (ω-independent).
     sigma_semi: Vec<f64>,
-    unknowns: Vec<NodeId>,
-    unknown_index: Vec<Option<usize>>,
-    /// Per unknown row: incident links and the column of the neighbour when
-    /// it is itself an unknown (`None` = Dirichlet neighbour).
-    stencils: Vec<Vec<(LinkId, Option<usize>)>>,
-    /// Couplings of unknown rows into Dirichlet (contact) neighbours:
-    /// `(row, link, contact index)`.
-    boundary: Vec<(usize, LinkId, usize)>,
+    /// The topology's AC assembly map: unknown numbering, link slots and
+    /// the contact couplings of the right-hand side.
+    map: Arc<AssemblyMap>,
     /// Scratch: per-node admittivity at the current frequency.
     node_y: Vec<Complex64>,
     /// Link admittance `y·g` (S) at the current frequency.
     link_admittance: Vec<Complex64>,
-    /// Reused assembly buffer.
-    triplets: TripletMatrix<Complex64>,
-    /// CSR with the fixed sparsity pattern, built at the first frequency
-    /// (from the topology-cached pattern when available).
-    matrix: Option<vaem_sparse::CsrMatrix<Complex64>>,
+    /// The operator on the map's pattern, at the current frequency.
+    matrix: CsrMatrix<Complex64>,
     /// Linear solver prepared at the first frequency, refactorized since.
     prepared: Option<PreparedSolver<Complex64>>,
     /// Stale-pivot fallbacks already reported into the shared topology
@@ -885,7 +980,7 @@ impl AcSweepOperator<'_, '_> {
 
     /// Number of unknown (non-contact) nodes.
     pub fn unknown_count(&self) -> usize {
-        self.unknowns.len()
+        self.map.rows()
     }
 
     /// Re-targets the operator to a new frequency: recomputes the node/link
@@ -920,45 +1015,23 @@ impl AcSweepOperator<'_, '_> {
             self.link_admittance[lid.index()] = y.scale(solver.link_factor[lid.index()]);
         }
 
-        // Only the values change between frequencies: push the new ones and
-        // re-assemble into the fixed pattern.
-        self.triplets.clear();
-        for (ui, row) in self.stencils.iter().enumerate() {
+        // Only the values change between frequencies: rebuild them into the
+        // fixed pattern through the map.
+        let map = &*self.map;
+        let values = self.matrix.values_mut();
+        values.fill(Complex64::ZERO);
+        for row in 0..map.rows() {
             let mut diag = Complex64::ZERO;
-            for &(lid, uj) in row {
-                let ya = self.link_admittance[lid.index()];
+            for entry in map.entries(row) {
+                let ya = self.link_admittance[map.links[entry] as usize];
                 diag -= ya;
-                if let Some(uj) = uj {
-                    self.triplets.push(ui, uj, ya);
-                }
+                map.add(values, entry, ya);
             }
-            self.triplets.push(ui, ui, diag);
+            values[map.diagonal[row] as usize] += diag;
         }
-        let n_unknown = self.unknowns.len();
-        let matrix = match self.matrix.as_mut() {
-            Some(cached) => {
-                self.triplets.assemble_into(cached)?;
-                &*cached
-            }
-            None => {
-                let built = match solver.topology.ac_pattern.get() {
-                    Some(p) if p.rows() == n_unknown && p.cols() == n_unknown => {
-                        let mut m = p.zeros();
-                        self.triplets.assemble_into(&mut m)?;
-                        m
-                    }
-                    _ => {
-                        let m = self.triplets.to_csr();
-                        let _ = solver.topology.ac_pattern.set(SparsityPattern::of(&m));
-                        m
-                    }
-                };
-                &*self.matrix.insert(built)
-            }
-        };
 
         match self.prepared.as_mut() {
-            Some(p) => p.refactor(matrix)?,
+            Some(p) => p.refactor(&self.matrix)?,
             None => {
                 // First frequency: seed the direct factorization from the
                 // topology-shared AC donor (published by the nominal
@@ -974,7 +1047,7 @@ impl AcSweepOperator<'_, '_> {
                 } else {
                     (None, None)
                 };
-                self.prepared = Some(linear.prepare_seeded_with(matrix, seed, ilu_seed)?);
+                self.prepared = Some(linear.prepare_seeded_with(&self.matrix, seed, ilu_seed)?);
             }
         }
         // Publish the donor (first publisher wins) and report any new
@@ -1148,7 +1221,7 @@ impl AcSweepOperator<'_, '_> {
                 .unwrap_or(Complex64::ZERO)
         };
 
-        let mut rhs = vec![Complex64::ZERO; self.unknowns.len()];
+        let mut rhs = vec![Complex64::ZERO; self.map.rows()];
         self.fill_rhs(excitation_of, &mut rhs);
         let prepared = self.prepared.as_mut().ok_or_else(no_frequency_error)?;
         let (solution, report) = prepared.solve_with_guess(&rhs, guess)?;
@@ -1160,8 +1233,9 @@ impl AcSweepOperator<'_, '_> {
     /// neighbours, driven at `excitation_of(contact)`, to the zeroed
     /// right-hand side `rhs`.
     fn fill_rhs(&self, excitation_of: impl Fn(usize) -> Complex64, rhs: &mut [Complex64]) {
-        for &(ui, lid, contact) in &self.boundary {
-            rhs[ui] -= self.link_admittance[lid.index()] * excitation_of(contact);
+        for &(row, lid, contact) in &self.map.boundary {
+            rhs[row as usize] -=
+                self.link_admittance[lid as usize] * excitation_of(contact as usize);
         }
     }
 
@@ -1180,13 +1254,13 @@ impl AcSweepOperator<'_, '_> {
         let mut potential = vec![Complex64::ZERO; mesh.node_count()];
         for node in mesh.node_ids() {
             let i = node.index();
-            potential[i] = match self.unknown_index[i] {
-                Some(ui) => solution[ui],
-                None => {
+            potential[i] = match self.map.row_of[i] {
+                DIRICHLET => {
                     let contact =
                         solver.topology.contact_of[i].expect("non-unknown node is a contact");
                     excitation_of(contact)
                 }
+                row => solution[row as usize],
             };
         }
 

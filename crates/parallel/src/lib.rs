@@ -26,12 +26,21 @@
 //! and can be pinned with the `VAEM_CHUNK` environment variable. Scheduling
 //! never affects *results* — only which worker computes an item — because
 //! every item still writes its own output slot.
+//!
+//! The calling thread is **worker 0** of every fan-out: it spawns workers
+//! `1..n` and then claims items itself, so a fan-out over `n` workers
+//! spawns `n − 1` threads. That also lets the caller run one **side job**
+//! first ([`with_side_job`]): work that cannot be split, such as a
+//! warm-started frequency chain, overlaps the fan-out on the thread that
+//! would otherwise only claim items, and joins the queue when it ends.
 
 #![warn(missing_docs)]
 
 pub mod env;
 pub mod faults;
 
+use std::cell::Cell;
+use std::ptr::NonNull;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding the worker-thread count.
@@ -93,8 +102,9 @@ fn auto_chunk(len: usize, threads: usize) -> usize {
 /// element behind the pointer is reached by exactly one worker — output
 /// slots and mutable items through the index that [`steal_indices`] hands
 /// to exactly one claimant, worker states through the worker ordinal that
-/// exactly one spawned thread carries — and the parent does not touch the
-/// buffer until all workers have joined.
+/// exactly one thread carries (ordinal 0 the calling thread, the others
+/// one spawned thread each) — and the caller does not touch the buffer
+/// outside its worker-0 claims until all workers have joined.
 struct SlotPtr<U>(*mut U);
 // SAFETY: sending the pointer is sound because the elements are `Send` and
 // the parent-owned buffer outlives the scope that carries the pointer
@@ -107,40 +117,45 @@ unsafe impl<U: Send> Send for SlotPtr<U> {}
 unsafe impl<U: Send> Sync for SlotPtr<U> {}
 
 /// The single work-stealing engine behind every fan-out in this crate:
-/// spawns up to `threads` scoped workers that repeatedly claim the next
-/// unclaimed block of `chunk` indices off a shared atomic cursor and invoke
-/// `body(worker, index)` once per claimed index. Returns when every index
-/// in `0..len` has been processed (a worker panic propagates out of the
-/// scope).
+/// runs up to `threads` workers that repeatedly claim the next unclaimed
+/// block of `chunk` indices off a shared atomic cursor and invoke
+/// `body(worker, index)` once per claimed index. Worker 0 is the calling
+/// thread; ordinals `1..threads` are scoped threads spawned first. Before
+/// worker 0 claims its first index it runs the side job registered by
+/// [`with_side_job`] on this thread, if there is one. Returns when every
+/// index in `0..len` has been processed (a panic on any worker propagates
+/// once the others have joined).
 ///
 /// Guarantees the callers' unsafe slot, item and state accesses rely on:
 /// each index in `0..len` is passed to **exactly one** `body` invocation —
 /// the `fetch_add` hands out disjoint ranges — each `worker` ordinal in
-/// `0..threads` is carried by exactly one spawned thread, and the scope
-/// joins all workers before returning. Keeping this loop in one place means
+/// `0..threads` is carried by exactly one thread, and the scope joins all
+/// spawned workers before returning. Keeping this loop in one place means
 /// there is exactly one claiming discipline to audit for every fan-out.
 fn steal_indices<F>(threads: usize, chunk: usize, len: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
 {
-    // No point spawning workers that could never win a claim.
+    // No point starting workers that could never win a claim.
     let workers = threads.min(len.div_ceil(chunk));
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let body = &body;
-        let cursor = &cursor;
-        for worker in 0..workers {
-            scope.spawn(move || loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= len {
-                    break;
-                }
-                let end = (start + chunk).min(len);
-                for index in start..end {
-                    body(worker, index);
-                }
-            });
+    let claim = |worker: usize| loop {
+        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+        if start >= len {
+            break;
         }
+        let end = (start + chunk).min(len);
+        for index in start..end {
+            body(worker, index);
+        }
+    };
+    std::thread::scope(|scope| {
+        let claim = &claim;
+        for worker in 1..workers {
+            scope.spawn(move || claim(worker));
+        }
+        run_side_job();
+        claim(0);
     });
 }
 
@@ -264,13 +279,89 @@ where
     let mut owned: Vec<S> = (0..workers).map(|_| init()).collect();
     let states = &SlotPtr(owned.as_mut_ptr());
     steal_map(workers, chunk, len, |worker, index| {
-        // SAFETY: `steal_indices` spawns at most `workers` threads and
-        // runs each worker ordinal on exactly one of them, so `worker` is
-        // in bounds of `owned` (which outlives the fan-out) and this is the
-        // only reference to `owned[worker]`.
+        // SAFETY: `steal_indices` runs at most `workers` workers and each
+        // worker ordinal on exactly one thread, so `worker` is in bounds of
+        // `owned` (which outlives the fan-out) and this is the only
+        // reference to `owned[worker]`.
         let state = unsafe { &mut *states.0.add(worker) };
         f(state, index)
     })
+}
+
+thread_local! {
+    /// The side job [`with_side_job`] registered on this thread that no
+    /// fan-out has taken yet: a pointer to a `&mut dyn FnMut()` in that
+    /// call's frame. Casting it to a thin `()` pointer erases the closure's
+    /// lifetime; [`Registration`] keeps it from outliving the frame.
+    static SIDE_JOB: Cell<Option<NonNull<()>>> = const { Cell::new(None) };
+}
+
+/// Takes the side job registered on this thread, if any, and runs it.
+fn run_side_job() {
+    let Some(job) = SIDE_JOB.with(Cell::take) else {
+        return;
+    };
+    // SAFETY: only `with_side_job` fills the thread-local slot, with a
+    // pointer to a `&mut dyn FnMut()` local of its own frame, and its
+    // `Registration` guard empties the slot before that frame ends, on
+    // every exit. A pointer found in the slot therefore names a live frame
+    // whose `main` this thread is executing, and `with_side_job` touches
+    // neither that local nor the closure until `main` returns. Taking the
+    // pointer out of the slot makes this the only access through it.
+    let job = unsafe { &mut *job.cast::<&mut dyn FnMut()>().as_ptr() };
+    job();
+}
+
+/// Empties the side-job slot when `main` returns or unwinds, so no later
+/// fan-out can find a job whose frame is gone.
+struct Registration;
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        SIDE_JOB.with(|slot| slot.set(None));
+    }
+}
+
+/// Runs `main` with `side` registered as the calling thread's **side job**
+/// and returns both results.
+///
+/// The first fan-out of this crate that `main` starts on this thread with
+/// more than one worker takes the job: it spawns its other workers, runs
+/// `side` on the calling thread, and only then lets the calling thread
+/// (worker 0) claim items. So `side` overlaps the fan-out, and the caller
+/// joins the queue when `side` ends. If `main` starts no such fan-out —
+/// at one worker, for a single item, or when the fan-out's owner takes a
+/// serial path — `side` runs after `main` returns, which is exactly the
+/// serial order. Either way `side` runs exactly once and on the calling
+/// thread, so it needs neither `Send` nor `Sync`; it is `FnMut` only so it
+/// can be called either through the registration or directly. A nested
+/// `with_side_job` in `main` replaces the registration, so the outer `side`
+/// then runs after `main`.
+///
+/// `side` sees everything `main` did before its first fan-out started,
+/// and should read nothing `main` changes after that. Results stay
+/// independent of the thread count when that holds and both closures are
+/// deterministic, because what runs is the same; only when `side` runs
+/// moves.
+///
+/// # Panics
+/// Propagates a panic of `main` or `side`. The registration is undone on
+/// every exit, so a panic never leaves a job behind for a later fan-out.
+pub fn with_side_job<M, S>(mut side: impl FnMut() -> S, main: impl FnOnce() -> M) -> (M, S) {
+    let mut done = None;
+    let mut job = || done = Some(side());
+    let mut job: &mut dyn FnMut() = &mut job;
+    let registered = NonNull::from(&mut job).cast::<()>();
+    let main_result = {
+        SIDE_JOB.with(|slot| slot.set(Some(registered)));
+        let _registration = Registration;
+        main()
+    };
+    let side_result = match done {
+        Some(result) => result,
+        None => side(),
+    };
+    (main_result, side_result)
 }
 
 #[cfg(test)]
@@ -496,6 +587,110 @@ mod tests {
             for chunk in [1, 2, 7, 64] {
                 let out = par_map_init(threads, chunk, len, Vec::new, f);
                 assert_eq!(out, serial, "threads = {threads}, chunk = {chunk}");
+            }
+        }
+    }
+
+    #[test]
+    fn side_job_runs_once_on_the_calling_thread_before_its_first_claim() {
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
+        let side_done = AtomicBool::new(false);
+        let runs = Cell::new(0);
+        for threads in [2, 3] {
+            runs.set(0);
+            side_done.store(false, Ordering::SeqCst);
+            let (out, side) = with_side_job(
+                || {
+                    assert_eq!(std::thread::current().id(), caller);
+                    runs.set(runs.get() + 1);
+                    side_done.store(true, Ordering::SeqCst);
+                    41 + runs.get()
+                },
+                || {
+                    let body = |_: &mut (), i: usize| {
+                        if std::thread::current().id() == caller {
+                            assert!(side_done.load(Ordering::SeqCst), "worker 0 claimed first");
+                        }
+                        i * 3
+                    };
+                    let first = par_map_init(threads, 1, 12, || (), body);
+                    assert!(side_done.load(Ordering::SeqCst), "the fan-out took the job");
+                    // A second fan-out finds the slot empty.
+                    let mut items = [1u8, 2, 3, 4];
+                    let second = par_map_mut_with_chunk(threads, 1, &mut items, |_, v| *v);
+                    (first, second)
+                },
+            );
+            assert_eq!(side, 42, "threads {threads}");
+            assert_eq!(runs.get(), 1, "threads {threads}");
+            assert_eq!(out.0, (0..12).map(|i| i * 3).collect::<Vec<_>>());
+            assert_eq!(out.1, [1, 2, 3, 4]);
+        }
+    }
+
+    #[test]
+    fn side_job_runs_after_main_when_main_starts_no_fan_out() {
+        use std::cell::RefCell;
+        let log = RefCell::new(Vec::new());
+        let serial_mains: [&dyn Fn() -> usize; 3] = [
+            &|| 0,
+            &|| par_map_init(1, 1, 5, || (), |_, i| i).len(),
+            &|| par_map_mut_with_chunk(4, 1, &mut [7u8], |_, v| *v).len(),
+        ];
+        for (k, main) in serial_mains.into_iter().enumerate() {
+            log.borrow_mut().clear();
+            let (_, side) = with_side_job(
+                || {
+                    log.borrow_mut().push("side");
+                    k
+                },
+                || {
+                    let out = main();
+                    log.borrow_mut().push("main");
+                    out
+                },
+            );
+            assert_eq!(side, k);
+            assert_eq!(*log.borrow(), ["main", "side"], "main {k}");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_main_leaves_no_side_job_behind() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let runs = Cell::new(0);
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            with_side_job(|| runs.set(runs.get() + 1), || panic!("main fails"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(runs.get(), 0, "a failed main never reaches the side job");
+        // The next fan-out on this thread must not find the dead job.
+        assert_eq!(par_map_init(2, 1, 4, || (), |_, i| i), [0, 1, 2, 3]);
+        assert_eq!(runs.get(), 0);
+        let (_, ran) = with_side_job(|| runs.set(runs.get() + 1), || ());
+        assert_eq!(
+            (ran, runs.get()),
+            ((), 1),
+            "a fresh registration still works"
+        );
+    }
+
+    #[test]
+    fn side_job_results_are_independent_of_threads_and_chunk() {
+        let f = |scratch: &mut Vec<u64>, i: usize| {
+            scratch.push(i as u64);
+            (i as u64)
+                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                .rotate_left(7)
+        };
+        let side = || (0..9u64).fold(1u64, |acc, v| acc.wrapping_mul(31).wrapping_add(v));
+        let len = 23;
+        let reference = (par_map_init(1, 1, len, Vec::new, f), side());
+        for threads in [1, 2, 3, 8] {
+            for chunk in [1, 2, 7] {
+                let out = with_side_job(side, || par_map_init(threads, chunk, len, Vec::new, f));
+                assert_eq!(out, reference, "threads {threads}, chunk {chunk}");
             }
         }
     }

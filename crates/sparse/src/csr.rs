@@ -8,8 +8,8 @@ use vaem_numeric::Scalar;
 ///
 /// Captured once from an assembled matrix, a pattern lets repeated
 /// assemblies (Newton iterations, frequency sweeps) rebuild only the values
-/// via [`CsrMatrix::assemble_into`] instead of re-sorting triplets with
-/// [`CsrMatrix::from_triplets`] on every pass.
+/// of a matrix made by [`SparsityPattern::zeros`] instead of re-sorting
+/// triplets with [`CsrMatrix::from_triplets`] on every pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SparsityPattern {
     rows: usize,
@@ -62,8 +62,8 @@ impl SparsityPattern {
             && self.col_idx == matrix.col_idx
     }
 
-    /// Materializes an all-zero matrix with this structure, ready for
-    /// [`CsrMatrix::assemble_into`].
+    /// Materializes an all-zero matrix with this structure, whose values a
+    /// caller then writes through [`CsrMatrix::values_mut`].
     pub fn zeros<T: Scalar>(&self) -> CsrMatrix<T> {
         CsrMatrix {
             rows: self.rows,
@@ -197,43 +197,6 @@ impl<T: Scalar> CsrMatrix<T> {
         &mut self.values
     }
 
-    /// Re-assembles the values from triplets while keeping the existing
-    /// sparsity pattern: all stored values are zeroed, then every triplet is
-    /// added at its structural position (duplicates sum, as in
-    /// [`CsrMatrix::from_triplets`]).
-    ///
-    /// This is the fast path for iteration-style assembly (Newton steps, AC
-    /// sweeps) where the pattern never changes: no per-row sort, no
-    /// reallocation.
-    ///
-    /// # Errors
-    /// * [`SparseError::DimensionMismatch`] when a triplet indexes outside
-    ///   the matrix shape.
-    /// * [`SparseError::PatternMismatch`] when a triplet addresses a
-    ///   position that is structurally absent; the matrix values are left in
-    ///   an unspecified (partially assembled) state in that case.
-    pub fn assemble_into(&mut self, triplets: &[(usize, usize, T)]) -> Result<(), SparseError> {
-        for v in &mut self.values {
-            *v = T::zero();
-        }
-        for &(r, c, v) in triplets {
-            if r >= self.rows || c >= self.cols {
-                return Err(SparseError::DimensionMismatch {
-                    detail: format!(
-                        "triplet ({r}, {c}) out of bounds for {}x{}",
-                        self.rows, self.cols
-                    ),
-                });
-            }
-            let (lo, hi) = (self.row_ptr[r], self.row_ptr[r + 1]);
-            match self.col_idx[lo..hi].binary_search(&c) {
-                Ok(k) => self.values[lo + k] += v,
-                Err(_) => return Err(SparseError::PatternMismatch { row: r, col: c }),
-            }
-        }
-        Ok(())
-    }
-
     /// Returns the stored value at `(row, col)` or zero if not present.
     pub fn get(&self, row: usize, col: usize) -> T {
         let (lo, hi) = (self.row_ptr[row], self.row_ptr[row + 1]);
@@ -348,6 +311,7 @@ impl<T: Scalar> CsrMatrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assemble_into;
     use vaem_numeric::Complex64;
 
     fn laplacian_1d(n: usize) -> CsrMatrix<f64> {
@@ -472,14 +436,17 @@ mod tests {
     fn assemble_into_updates_values_on_fixed_pattern() {
         let mut a = laplacian_1d(4);
         // Same pattern, different values, duplicates summed.
-        a.assemble_into(&[
-            (0, 0, 5.0),
-            (0, 1, -2.0),
-            (1, 0, 1.0),
-            (1, 1, 3.0),
-            (1, 1, 4.0),
-            (3, 3, 9.0),
-        ])
+        assemble_into(
+            &mut a,
+            &[
+                (0, 0, 5.0),
+                (0, 1, -2.0),
+                (1, 0, 1.0),
+                (1, 1, 3.0),
+                (1, 1, 4.0),
+                (3, 3, 9.0),
+            ],
+        )
         .unwrap();
         assert_eq!(a.get(0, 0), 5.0);
         assert_eq!(a.get(0, 1), -2.0);
@@ -494,11 +461,11 @@ mod tests {
     fn assemble_into_rejects_entries_outside_the_pattern() {
         let mut a = laplacian_1d(4);
         assert!(matches!(
-            a.assemble_into(&[(0, 3, 1.0)]),
+            assemble_into(&mut a, &[(0, 3, 1.0)]),
             Err(SparseError::PatternMismatch { row: 0, col: 3 })
         ));
         assert!(matches!(
-            a.assemble_into(&[(0, 9, 1.0)]),
+            assemble_into(&mut a, &[(0, 9, 1.0)]),
             Err(SparseError::DimensionMismatch { .. })
         ));
     }
@@ -520,7 +487,7 @@ mod tests {
         let triplets: Vec<(usize, usize, f64)> = (0..5)
             .flat_map(|r| a.row_entries(r).map(move |(c, v)| (r, c, v)))
             .collect();
-        z.assemble_into(&triplets).unwrap();
+        assemble_into(&mut z, &triplets).unwrap();
         assert_eq!(z, a);
 
         let other = laplacian_1d(6);

@@ -34,7 +34,7 @@ pub enum SparseError {
         detail: String,
     },
     /// A value was assembled at a position that is structurally absent from
-    /// the fixed sparsity pattern (see `CsrMatrix::assemble_into`).
+    /// a fixed sparsity pattern.
     PatternMismatch {
         /// Row of the offending entry.
         row: usize,

@@ -4,9 +4,9 @@
 //! non-symmetric, complex-valued matrix equation. This crate provides the
 //! storage formats and solvers used throughout the workspace:
 //!
-//! * [`TripletMatrix`] — coordinate-format assembly buffer (the FVM assembly
-//!   pushes one entry per flux contribution and lets the conversion sum
-//!   duplicates).
+//! * [`TripletMatrix`] — coordinate-format assembly buffer whose conversion
+//!   sums duplicates; the FVM solver builds each stage's pattern with it
+//!   once and then writes values straight into their CSR slots.
 //! * [`CsrMatrix`] — compressed sparse row storage with matrix–vector
 //!   products, diagonal extraction, scaling and transposition.
 //! * [`Ilu0`] — incomplete LU factorization with zero fill-in, used as a

@@ -34,37 +34,48 @@ impl RowColScaling {
     /// with the scaling data needed to transform right-hand sides and
     /// solutions.
     pub fn equilibrate<T: Scalar>(a: &CsrMatrix<T>) -> (CsrMatrix<T>, Self) {
-        let rows = a.rows();
-        let cols = a.cols();
+        let mut scaled = a.clone();
+        let mut scaling = Self {
+            row: vec![1.0; a.rows()],
+            col: vec![1.0; a.cols()],
+        };
+        scaling.refit(a, &mut scaled);
+        (scaled, scaling)
+    }
+
+    /// Recomputes this scaling for `a` and overwrites `scaled` with
+    /// `R·A·C`, allocating nothing: the re-equilibration of a prepared
+    /// solver whose operator got new values on the same pattern.
+    /// `scaled` must have `a`'s pattern and this scaling `a`'s shape.
+    pub(crate) fn refit<T: Scalar>(&mut self, a: &CsrMatrix<T>, scaled: &mut CsrMatrix<T>) {
         let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
         // Every stored entry's modulus (a `hypot` for complex values),
-        // computed once for both passes.
-        let modulus: Vec<f64> = a.values().iter().map(|v| v.modulus()).collect();
+        // computed once for both passes and parked in `scaled`'s values.
+        let modulus = scaled.values_mut();
+        for (m, v) in modulus.iter_mut().zip(a.values()) {
+            *m = T::from_f64(v.modulus());
+        }
         // Row scale from the max modulus of each row.
-        let mut row = vec![1.0; rows];
-        for r in 0..rows {
+        for (r, row) in self.row.iter_mut().enumerate() {
             let max = modulus[row_ptr[r]..row_ptr[r + 1]]
                 .iter()
-                .copied()
+                .map(|m| m.real())
                 .fold(0.0, f64::max);
-            row[r] = if max > 0.0 { 1.0 / max } else { 1.0 };
+            *row = if max > 0.0 { 1.0 / max } else { 1.0 };
         }
         // Column scale from the max modulus after row scaling.
-        let mut col_max = vec![0.0_f64; cols];
-        for r in 0..rows {
+        self.col.fill(0.0);
+        for (r, &row) in self.row.iter().enumerate() {
             for k in row_ptr[r]..row_ptr[r + 1] {
                 let c = col_idx[k];
-                col_max[c] = col_max[c].max(modulus[k] * row[r]);
+                self.col[c] = self.col[c].max(modulus[k].real() * row);
             }
         }
-        let col: Vec<f64> = col_max
-            .iter()
-            .map(|&m| if m > 0.0 { 1.0 / m } else { 1.0 })
-            .collect();
-
-        let mut scaled = a.clone();
-        scaled.scale_rows_cols(&row, &col);
-        (scaled, Self { row, col })
+        for m in &mut self.col {
+            *m = if *m > 0.0 { 1.0 / *m } else { 1.0 };
+        }
+        modulus.copy_from_slice(a.values());
+        scaled.scale_rows_cols(&self.row, &self.col);
     }
 
     /// Row scaling factors `R`.

@@ -642,13 +642,14 @@ impl<T: Scalar> PreparedSolver<T> {
                 ),
             });
         }
-        // Factor against the *local* equilibrated matrix and only commit the
-        // new scaled/scaling state together with the new factorization: an
-        // error must leave the solver answering for the previously prepared
-        // matrix, not mix the old factors with the new scaling.
-        let (scaled, scaling) = RowColScaling::equilibrate(a);
         match &mut self.factorization {
             Factorization::Direct(direct) => {
+                // Factor against a *local* equilibrated matrix and only
+                // commit the new scaled/scaling state together with the new
+                // factorization: an error must leave the solver answering
+                // for the previously prepared matrix, not mix the old
+                // factors with the new scaling.
+                let (scaled, scaling) = RowColScaling::equilibrate(a);
                 fault_check(FaultSite::Pivot)?;
                 match direct.symbolic.factor(&scaled) {
                     Ok(lu) => direct.numeric = lu,
@@ -659,11 +660,20 @@ impl<T: Scalar> PreparedSolver<T> {
                     }
                     Err(err) => return Err(err),
                 }
+                self.scaled = scaled;
+                self.scaling = scaling;
             }
-            Factorization::Ilu { state, .. } => state.stale = true,
+            Factorization::Ilu { state, .. } => {
+                // Nothing here can fail, so the new values go straight into
+                // this solver's own buffers when the pattern is unchanged.
+                if a.row_ptr() == self.scaled.row_ptr() && a.col_idx() == self.scaled.col_idx() {
+                    self.scaling.refit(a, &mut self.scaled);
+                } else {
+                    (self.scaled, self.scaling) = RowColScaling::equilibrate(a);
+                }
+                state.stale = true;
+            }
         }
-        self.scaled = scaled;
-        self.scaling = scaling;
         Ok(())
     }
 
@@ -918,6 +928,8 @@ impl<T: Scalar> PreparedSolver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::assemble_into;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use vaem_numeric::Complex64;
 
     fn laplacian_2d(nx: usize) -> CsrMatrix<f64> {
@@ -1162,7 +1174,7 @@ mod tests {
                     .map(move |(c, v)| (r, c, if r == c { v + 1.5 } else { v }))
             })
             .collect();
-        shifted.assemble_into(&triplets).unwrap();
+        assemble_into(&mut shifted, &triplets).unwrap();
         prepared.refactor(&shifted).unwrap();
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.17).cos()).collect();
         let b = shifted.matvec(&x_true);
@@ -1186,7 +1198,7 @@ mod tests {
                     .map(move |(c, v)| (r, c, if r == c { v * 2.0 } else { v }))
             })
             .collect();
-        shifted.assemble_into(&triplets).unwrap();
+        assemble_into(&mut shifted, &triplets).unwrap();
         prepared.refactor(&shifted).unwrap();
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.09).sin()).collect();
         let b = shifted.matvec(&x_true);
@@ -1213,7 +1225,7 @@ mod tests {
                     .map(move |(c, v)| (r, c, if r == c { v + 0.8 } else { v * 1.02 }))
             })
             .collect();
-        shifted.assemble_into(&triplets).unwrap();
+        assemble_into(&mut shifted, &triplets).unwrap();
 
         let x_true: Vec<f64> = (0..a.rows()).map(|i| (i as f64 * 0.23).sin()).collect();
         let b = shifted.matvec(&x_true);
@@ -1658,7 +1670,13 @@ mod tests {
     /// through a serial `solve` loop, each on a fresh solver from `make`,
     /// and asserts bit-identity of every solution entry and report, of the
     /// ILU rebuild count and of the final strategy. Returns the serial
-    /// reports and whether any batched column ran on a worker thread.
+    /// reports and whether any batched column ran on a spawned worker.
+    ///
+    /// The calling thread is worker 0 of a fan-out, so it could claim every
+    /// column before a spawned worker starts. A side job keeps it from
+    /// claiming until a spawned worker has built a right-hand side; when
+    /// the batch does not fan out, the side job runs after it and returns
+    /// at once.
     fn assert_batch_matches_serial(
         make: impl Fn() -> PreparedSolver<f64>,
         columns: &[Vec<f64>],
@@ -1678,14 +1696,29 @@ mod tests {
         let mut fanned_out = false;
         for threads in [1, 2, 4] {
             let mut batched = make();
-            let got: Vec<Column> = batched
-                .solve_batch_on(
+            let worker_ran = AtomicBool::new(false);
+            let main_done = AtomicBool::new(false);
+            let wait_for_a_worker = || {
+                while !main_done.load(Ordering::SeqCst) && !worker_ran.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+            };
+            let (got, ()) = vaem_parallel::with_side_job(wait_for_a_worker, || {
+                let got = batched.solve_batch_on(
                     threads,
                     columns.len(),
-                    |j, b| b.copy_from_slice(&columns[j]),
+                    |j, b| {
+                        if std::thread::current().id() != caller {
+                            worker_ran.store(true, Ordering::SeqCst);
+                        }
+                        b.copy_from_slice(&columns[j]);
+                    },
                     |_, x, report| Ok::<_, SparseError>(column_record(&x, &report, caller)),
-                )
-                .unwrap();
+                );
+                main_done.store(true, Ordering::SeqCst);
+                got
+            });
+            let got: Vec<Column> = got.unwrap();
             for (j, (g, e)) in got.iter().zip(&expected).enumerate() {
                 assert_eq!(
                     (&g.0, g.1, g.2, g.3),

@@ -612,7 +612,7 @@ fn sort_column<T: Scalar>(rows: &mut [usize], vals: &mut [T], lo: usize, hi: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::natural_order_solve;
+    use crate::test_support::{assemble_into, natural_order_solve};
     use vaem_numeric::{vecops, Complex64};
 
     fn laplacian_2d(nx: usize) -> CsrMatrix<f64> {
@@ -653,7 +653,7 @@ mod tests {
                 triplets.push((r, c, v));
             }
         }
-        a.assemble_into(&triplets).unwrap();
+        assemble_into(&mut a, &triplets).unwrap();
         a
     }
 
@@ -881,7 +881,7 @@ mod tests {
             })
             .collect();
         let mut z = laplacian_2d(16);
-        z.assemble_into(&zeros).unwrap();
+        assemble_into(&mut z, &zeros).unwrap();
         let mut seeded = donor.seed_from();
         assert!(matches!(
             seeded.factor(&z),

@@ -1,6 +1,7 @@
 //! Test-only helpers: random systems and `to_bits` comparisons for the
-//! bit-identity tests of the Krylov kernels, and the natural-order
-//! reference LU the direct-path tests compare against.
+//! bit-identity tests of the Krylov kernels, the natural-order reference LU
+//! the direct-path tests compare against, and triplet re-assembly into a
+//! fixed pattern.
 
 use crate::{CsrMatrix, SparseError};
 use vaem_numeric::{Complex64, Scalar};
@@ -230,4 +231,35 @@ pub(crate) fn natural_order_solve<T: Scalar>(
         }
     }
     Ok(y)
+}
+
+/// Re-assembles `matrix`'s values from triplets while keeping its sparsity
+/// pattern: all stored values are zeroed, then every triplet is added at
+/// its structural position (duplicates sum, as in
+/// [`CsrMatrix::from_triplets`]).
+///
+/// # Errors
+/// * [`SparseError::DimensionMismatch`] when a triplet indexes outside the
+///   matrix shape.
+/// * [`SparseError::PatternMismatch`] when a triplet addresses a position
+///   that is structurally absent; the values are then partially assembled.
+pub(crate) fn assemble_into<T: Scalar>(
+    matrix: &mut CsrMatrix<T>,
+    triplets: &[(usize, usize, T)],
+) -> Result<(), SparseError> {
+    let (rows, cols) = (matrix.rows(), matrix.cols());
+    matrix.values_mut().fill(T::zero());
+    for &(r, c, v) in triplets {
+        if r >= rows || c >= cols {
+            return Err(SparseError::DimensionMismatch {
+                detail: format!("triplet ({r}, {c}) out of bounds for {rows}x{cols}"),
+            });
+        }
+        let (lo, hi) = (matrix.row_ptr()[r], matrix.row_ptr()[r + 1]);
+        match matrix.col_idx()[lo..hi].binary_search(&c) {
+            Ok(k) => matrix.values_mut()[lo + k] += v,
+            Err(_) => return Err(SparseError::PatternMismatch { row: r, col: c }),
+        }
+    }
+    Ok(())
 }

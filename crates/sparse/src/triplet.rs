@@ -1,6 +1,6 @@
 //! Coordinate-format (COO) assembly buffer.
 
-use crate::{CsrMatrix, SparseError};
+use crate::CsrMatrix;
 use vaem_numeric::Scalar;
 
 /// A coordinate-format sparse matrix used during FVM assembly.
@@ -96,30 +96,6 @@ impl<T: Scalar> TripletMatrix<T> {
         CsrMatrix::from_triplets(self.rows, self.cols, &self.entries)
     }
 
-    /// Re-assembles the buffered entries into an already-structured CSR
-    /// matrix (see [`CsrMatrix::assemble_into`]); the per-iteration fast
-    /// path when the pattern is known not to change.
-    ///
-    /// # Errors
-    /// * [`SparseError::DimensionMismatch`] when the shapes differ or an
-    ///   entry is out of bounds.
-    /// * [`SparseError::PatternMismatch`] when an entry has no structural
-    ///   slot in `target`.
-    pub fn assemble_into(&self, target: &mut CsrMatrix<T>) -> Result<(), SparseError> {
-        if target.rows() != self.rows || target.cols() != self.cols {
-            return Err(SparseError::DimensionMismatch {
-                detail: format!(
-                    "assembly buffer is {}x{} but the target matrix is {}x{}",
-                    self.rows,
-                    self.cols,
-                    target.rows(),
-                    target.cols()
-                ),
-            });
-        }
-        target.assemble_into(&self.entries)
-    }
-
     /// Clears all entries but keeps the allocation.
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -154,30 +130,6 @@ mod tests {
     fn out_of_bounds_panics() {
         let mut t = TripletMatrix::new(2, 2);
         t.push(2, 0, 1.0);
-    }
-
-    #[test]
-    fn assemble_into_reuses_a_previous_pattern() {
-        let mut t = TripletMatrix::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push(0, 1, 2.0);
-        t.push(1, 1, 3.0);
-        let mut a = t.to_csr();
-        // New values, same stencil.
-        t.clear();
-        t.push(0, 0, 10.0);
-        t.push(1, 1, 30.0);
-        t.assemble_into(&mut a).unwrap();
-        assert_eq!(a.get(0, 0), 10.0);
-        assert_eq!(a.get(0, 1), 0.0); // zeroed structural entry
-        assert_eq!(a.get(1, 1), 30.0);
-        assert_eq!(a.nnz(), 3);
-        // A shape mismatch is rejected before touching the values.
-        let wrong = TripletMatrix::<f64>::new(3, 3);
-        assert!(matches!(
-            wrong.assemble_into(&mut a),
-            Err(SparseError::DimensionMismatch { .. })
-        ));
     }
 
     #[test]

@@ -19,6 +19,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use vaem_fvm::{CoupledSolver, SolverOptions};
 use vaem_mesh::structures::tsv::{build_tsv_structure, TsvConfig};
 use vaem_numeric::Complex64;
@@ -165,8 +167,8 @@ fn warmed_up(
 /// 256, 1024 and 2304 unknowns (`VAEM_THREADS=1`).
 fn prepared_solves(readings: &mut Readings) {
     for (kind, refactor_pin, solve_pin, guess_pin) in [
-        (SolverKind::IluBiCgStab, 7, 4, 5),
-        (SolverKind::DirectLu, 10, 5, 5),
+        (SolverKind::IluBiCgStab, 0, 4, 5),
+        (SolverKind::DirectLu, 8, 5, 5),
     ] {
         for nx in [16, 32, 48] {
             let (mut prepared, b, x_warm) = warmed_up(kind, nx);
@@ -204,8 +206,8 @@ fn sweep_point(readings: &mut Readings) {
     let semis = structure.semiconductor_nodes();
     let doping = DopingProfile::uniform_donor(structure.mesh.node_count(), &semis, 1.0e5);
     for (kind, solve_at_pin, set_frequency_pin, solve_terminal_pin) in [
-        (SolverKind::IluBiCgStab, 18, 7, 10),
-        (SolverKind::DirectLu, 21, 10, 11),
+        (SolverKind::IluBiCgStab, 11, 0, 10),
+        (SolverKind::DirectLu, 19, 8, 11),
     ] {
         let options = SolverOptions {
             linear_solver: kind,
@@ -240,8 +242,12 @@ fn sweep_point(readings: &mut Readings) {
 
 /// One `solve_batch` column of 8 dense right-hand sides on a fresh
 /// ILU(0)+BiCGSTAB solver (1024 unknowns), counted on the thread that
-/// solves it between the `rhs` and `reduce` callbacks: a worker at 2
-/// workers, the calling thread at 1.
+/// solves it between the `rhs` and `reduce` callbacks: at 2 workers the
+/// calling thread (worker 0) or the one spawned worker, at 1 worker the
+/// calling thread. At 2 workers a side job holds the calling thread back
+/// until the spawned worker has built a right-hand side, so both threads'
+/// columns are read; when the batch runs serially the side job runs after
+/// it and returns at once.
 fn batch_columns(readings: &mut Readings) {
     let a = shifted_laplacian(32, SHIFT);
     let caller = thread_key();
@@ -250,28 +256,46 @@ fn batch_columns(readings: &mut Readings) {
         let mut prepared = LinearSolver::new(SolverKind::IluBiCgStab)
             .prepare(&a)
             .expect("prepare");
-        let columns = prepared
-            .solve_batch(
+        let worker_ran = AtomicBool::new(false);
+        let batch_done = AtomicBool::new(false);
+        let wait_for_the_worker = || {
+            while !batch_done.load(Ordering::SeqCst) && !worker_ran.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        };
+        let (columns, ()) = vaem_parallel::with_side_job(wait_for_the_worker, || {
+            let columns = prepared.solve_batch(
                 8,
                 |j, b| {
                     for (i, v) in b.iter_mut().enumerate() {
                         *v = rhs_entry(i, j);
                     }
+                    if thread_key() != caller {
+                        worker_ran.store(true, Ordering::SeqCst);
+                    }
                     MARK.with(|m| m.set(allocations()));
                 },
                 |_, _, report| {
                     let n = allocations() - MARK.with(Cell::get);
-                    let on_worker = thread_key() != caller;
-                    Ok::<_, vaem_sparse::SparseError>((n, report.iterations, on_worker))
+                    Ok::<_, vaem_sparse::SparseError>((n, report.iterations, thread_key()))
                 },
-            )
-            .expect("batch");
-        for (j, &(n, iterations, on_worker)) in columns.iter().enumerate() {
-            assert_eq!(
-                on_worker,
-                threads == "2",
-                "column {j} at {threads} worker(s)"
             );
+            batch_done.store(true, Ordering::SeqCst);
+            columns
+        });
+        let columns = columns.expect("batch");
+        let spawned: BTreeSet<usize> = columns
+            .iter()
+            .map(|&(_, _, thread)| thread)
+            .filter(|&thread| thread != caller)
+            .collect();
+        assert_eq!(
+            spawned.len(),
+            usize::from(threads == "2"),
+            "columns at {threads} worker(s) ran on {} spawned thread(s)",
+            spawned.len()
+        );
+        for (j, &(n, iterations, _)) in columns.iter().enumerate() {
             readings.pin(
                 format!("solve_batch at {threads} worker(s): column {j} ({iterations} iterations)"),
                 n,
@@ -290,10 +314,18 @@ fn claiming_loop(readings: &mut Readings) {
     let mut items = vec![0u64; 64];
     let caller = thread_key();
     let visits = vaem_parallel::par_map_mut_with_chunk(2, 1, &mut items, probe);
+    let spawned: BTreeSet<usize> = visits
+        .iter()
+        .map(|v| v.0)
+        .filter(|&thread| thread != caller)
+        .collect();
+    assert!(
+        spawned.len() <= 1,
+        "items run on the calling thread (worker 0) and one spawned worker"
+    );
     let mut between = 0;
     let mut pairs = 0;
     for (k, &(thread, entry, _)) in visits.iter().enumerate() {
-        assert_ne!(thread, caller, "items run on spawned workers");
         // The previous item this worker ran (claims go up in index order).
         if let Some(&(_, _, exit)) = visits[..k].iter().rev().find(|v| v.0 == thread) {
             between += entry - exit;

@@ -8,7 +8,8 @@
 //! (it mutates `VAEM_THREADS`, so it owns its test binary).
 
 use vaem::experiments::tsv_array::TsvArrayExperiment;
-use vaem_fvm::{CoupledSolver, SolverOptions};
+use vaem::AnalysisError;
+use vaem_fvm::{CoupledSolver, FvmError, SolverOptions};
 use vaem_mesh::structures::tsv_array::{build_tsv_array_structure, TsvArrayConfig};
 use vaem_physics::DopingProfile;
 
@@ -149,4 +150,35 @@ fn quick_nominal_report_and_column_iterations_are_pinned() {
     );
     let iterations: Vec<usize> = columns.iter().map(|&(_, it)| it).collect();
     assert_eq!(iterations, [19, 22, 22, 18]);
+}
+
+/// The aggressor sweep runs beside the capacitance columns, but its errors
+/// still resolve in the serial order: the matrix's, then the aggressor
+/// check, then the sweep's. A negative lower sweep bound puts NaN points on
+/// the log grid, which the sweep rejects; an aggressor outside the via
+/// grid fails the aggressor check, even when the grid is broken too.
+#[test]
+fn nominal_report_errors_keep_their_serial_order() {
+    let mut nan_grid = TsvArrayExperiment::quick();
+    nan_grid.sweep_range = (-1.0e8, 1.0e10);
+    assert!(nan_grid.sweep_grid().iter().any(|f| f.is_nan()));
+    match nan_grid.nominal_report() {
+        Err(AnalysisError::Solver(FvmError::Configuration { detail })) => {
+            assert_eq!(detail, "invalid AC frequency NaN Hz");
+        }
+        other => panic!("NaN sweep point: {other:?}"),
+    }
+
+    let mut outside = TsvArrayExperiment::quick();
+    outside.aggressor = (5, 5);
+    let mut both = outside.clone();
+    both.sweep_range = nan_grid.sweep_range;
+    for experiment in [outside, both] {
+        match experiment.nominal_report() {
+            Err(AnalysisError::Configuration(detail)) => {
+                assert_eq!(detail, "aggressor 'via_5_5' is not a via terminal");
+            }
+            other => panic!("aggressor outside the grid: {other:?}"),
+        }
+    }
 }
